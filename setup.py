@@ -8,13 +8,29 @@ The ``package_data`` entry matters: the ITC'02 benchmark files under
 ``repro/itc02/data/`` are loaded through :mod:`importlib.resources` at
 runtime, so an installed wheel must ship them -- not only a
 ``PYTHONPATH=src`` checkout.
+
+The version is read from ``src/repro/__init__.py`` (``__version__``) by a
+regex rather than by importing the package, so it has one source.
 """
+
+import re
+from pathlib import Path
 
 from setuptools import find_packages, setup
 
+
+def read_version() -> str:
+    """``repro.__version__``, read from the source without importing it."""
+    text = (Path(__file__).parent / "src" / "repro" / "__init__.py").read_text("utf-8")
+    match = re.search(r'^__version__ = "([^"]+)"$', text, re.MULTILINE)
+    if match is None:
+        raise RuntimeError("no __version__ in src/repro/__init__.py")
+    return match.group(1)
+
+
 setup(
     name="repro-multisite",
-    version="1.7.0",
+    version=read_version(),
     description=(
         "Reproduction of Goel & Marinissen (DATE 2005): on-chip test "
         "infrastructure design for optimal multi-site testing of system chips"

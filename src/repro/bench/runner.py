@@ -42,6 +42,7 @@ these files as artifacts, so every PR leaves a perf data point behind.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import platform
@@ -160,21 +161,24 @@ def sweep_digest(results: Sequence[ScenarioResult]) -> str:
 
 
 def clear_computation_caches() -> None:
-    """Drop every process-wide computation cache (kernel memo, wrapper caches).
+    """Drop every process-wide computation cache (kernel, wrapper, bounds).
 
     Cold-path timings are only meaningful when earlier work in the same
-    process cannot leak in through the evaluation kernel's memo or the
-    wrapper-design caches.  The bench's cold legs (and the store benchmark
-    tests) call this before timing; persistent stores are untouched --
+    process cannot leak in through the evaluation kernel's memo, the
+    wrapper-design caches or the lower-bound certificate cache.  The
+    bench's cold legs (and the store benchmark tests) call this before
+    timing; persistent stores are untouched --
     store warmth is a property of the directory, not the process.
     The kernel's cumulative counters are kept -- dropping only the memo
     means the report's per-section counter deltas never go backwards.
     """
+    from repro.solvers import bounds
     from repro.wrapper import combine, pareto
 
     evaluate_kernel.drop_memo()
-    combine._cached_test_time.cache_clear()
+    combine.module_test_time.cache_clear()
     pareto._cached_pareto.cache_clear()
+    bounds._certificate.cache_clear()
 
 
 def _cache_record(engine: Engine) -> dict[str, Any]:
@@ -438,13 +442,18 @@ def _bench_analysis(smoke: bool) -> dict[str, Any]:
             store.put_records(batch)
         store.close()
 
+        # Each leg starts from a collected heap, so it pays only for the
+        # collections its own allocations trigger, not for a full
+        # collection that garbage left by earlier sections makes due.
         reader = PackedResultStore(work_dir)
+        gc.collect()
         started = time.perf_counter()
         decoded = records_from_store(reader, columns=False)
         decode_seconds = time.perf_counter() - started
         reader.close()
 
         reader = PackedResultStore(work_dir)
+        gc.collect()
         started = time.perf_counter()
         scanned = records_from_store(reader)
         scan_seconds = time.perf_counter() - started

@@ -122,13 +122,3 @@ def evaluate_channel_budget(
         scenario.channels_per_site, scenario.sites, config.broadcast
     )
 
-
-# Attach the vectorised array twins (bit-identical, used by the batch
-# evaluation kernel).  Optional: without numpy the scalar backends above
-# cover everything, just without the batch fast path.
-try:
-    from repro.objectives import array_backends as _array_backends
-except ImportError:  # pragma: no cover - exercised only without numpy
-    pass
-else:
-    _array_backends.attach()

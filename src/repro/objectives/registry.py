@@ -28,14 +28,13 @@ module never creates a cycle with the evaluation stack.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Any, Callable
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable
 
 from repro.core.exceptions import ConfigurationError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.ate.spec import AteSpec
-    from repro.multisite.batch import ScenarioBatch
     from repro.multisite.throughput import MultiSiteScenario
     from repro.optimize.config import OptimizationConfig
 
@@ -43,11 +42,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: configuration.  The scenario carries sites/timing/yields, the config the
 #: variant switches, and the ATE the machine the cost objectives price.
 ObjectiveBackend = Callable[["MultiSiteScenario", "OptimizationConfig", "AteSpec"], float]
-
-#: ``array_backend(batch, config, ate) -> ndarray``: evaluate a whole
-#: :class:`~repro.multisite.batch.ScenarioBatch` at once.  Must be
-#: bit-identical, point for point, to the scalar backend of the same name.
-ArrayObjectiveBackend = Callable[["ScenarioBatch", "OptimizationConfig", "AteSpec"], Any]
 
 #: Name of the objective used when no objective is specified anywhere.
 #: Scenarios running this objective keep their pre-registry canonical keys
@@ -84,7 +78,6 @@ class ObjectiveSpec:
     sense: str = "max"
     units: str = ""
     description: str = ""
-    array_backend: ArrayObjectiveBackend | None = None
 
     def __post_init__(self) -> None:
         if self.sense not in SENSES:
@@ -105,24 +98,6 @@ class ObjectiveSpec:
     ) -> float:
         """Evaluate the objective for one multi-site configuration."""
         return self.backend(scenario, config, ate)
-
-    def value_batch(
-        self,
-        batch: "ScenarioBatch",
-        config: "OptimizationConfig",
-        ate: "AteSpec",
-    ) -> Any:
-        """Evaluate the objective for a whole batch of configurations.
-
-        Only callable when the objective registered an array backend
-        (``array_backend is not None``); the evaluation kernel falls back
-        to per-point :meth:`value` calls otherwise.
-        """
-        if self.array_backend is None:
-            raise ConfigurationError(
-                f"objective {self.name!r} has no array backend registered"
-            )
-        return self.array_backend(batch, config, ate)
 
     def signed(self, value: float) -> float:
         """Map a raw objective value onto the maximise convention.
@@ -172,22 +147,6 @@ def register_objective(
         return backend
 
     return decorator
-
-
-def register_array_backend(name: str, backend: ArrayObjectiveBackend) -> ArrayObjectiveBackend:
-    """Attach a vectorised array form to an already-registered objective.
-
-    The array form must be bit-identical, point for point, to the scalar
-    backend of the same name -- the kernel interleaves batch and scalar
-    evaluations through one memo, and ``repro all`` digests depend on the
-    results not depending on the path taken.
-    """
-    if name not in _REGISTRY:
-        raise ConfigurationError(
-            f"cannot attach array backend: objective {name!r} is not registered"
-        )
-    _REGISTRY[name] = replace(_REGISTRY[name], array_backend=backend)
-    return backend
 
 
 def _ensure_backends() -> None:

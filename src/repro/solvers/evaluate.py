@@ -17,12 +17,10 @@ precomputed, the channel redistribution is *incremental* (each site count
 widens the previous site count's architecture instead of rebuilding from
 the Step-1 design; bit-identical because the greedy bottleneck widening
 only depends on the current state and the budgets grow monotonically as
-sites are given up), and the objective math runs vectorised over the
-candidate site counts through the numpy array forms in
-:mod:`repro.multisite.batch` when numpy is available.  The scalar
-:func:`evaluate_point` and the single-move :func:`evaluate_move` (the API a
-simulated-annealing / local-search backend needs) share the same memo, so
-every entry point sees the same cache.
+sites are given up), and only the memo misses reach the objective's
+scalar backend.  The scalar :func:`evaluate_point` and the single-move
+:func:`evaluate_move` (the API a simulated-annealing / local-search backend
+needs) share the same memo, so every entry point sees the same cache.
 
 All memo-key inputs are frozen dataclasses with cached structural
 fingerprints (:mod:`repro.core.fingerprint`) plus the objective's registry
@@ -35,7 +33,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable
 
 from repro.ate.probe_station import ProbeStation
 from repro.ate.spec import AteSpec
@@ -48,11 +46,6 @@ from repro.optimize.config import Objective, OptimizationConfig
 from repro.soc.module import Module
 from repro.tam.architecture import TestArchitecture
 from repro.tam.redistribution import widen_to_channel_budget
-
-try:  # numpy powers the vectorised objective math; scalar fallback without.
-    from repro.multisite.batch import ScenarioBatch
-except ImportError:  # pragma: no cover - exercised only without numpy
-    ScenarioBatch = None  # type: ignore[assignment]
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.optimize.result import Step1Result
@@ -177,16 +170,10 @@ def _compute_point(
     probe_station: ProbeStation,
     config: OptimizationConfig,
     spec: ObjectiveSpec,
-    value: float | None = None,
 ) -> EvaluatedPoint:
-    """Build the :class:`EvaluatedPoint` for one configuration.
-
-    ``value`` is passed in when the objective was already evaluated by the
-    vectorised batch path; otherwise the scalar backend runs here.
-    """
+    """Build the :class:`EvaluatedPoint` for one configuration."""
     scenario = scenario_for(architecture, sites, ate, probe_station, config)
-    if value is None:
-        value = spec.value(scenario, config, ate)
+    value = spec.value(scenario, config, ate)
     return EvaluatedPoint(
         architecture=architecture,
         sites=sites,
@@ -226,45 +213,6 @@ def evaluate_point(
     return point
 
 
-def _batch_objective_values(
-    pairs: Sequence[tuple[TestArchitecture, int]],
-    ate: AteSpec,
-    probe_station: ProbeStation,
-    config: OptimizationConfig,
-    spec: ObjectiveSpec,
-) -> list[float] | None:
-    """Vectorised objective values for ``pairs``, or ``None`` to go scalar.
-
-    The array path is taken when numpy is importable, the objective
-    registered an array backend, and the batch is big enough to amortise
-    the array construction.  Validation of the shared test-cell parameters
-    happens once, in the :class:`~repro.multisite.batch.ScenarioBatch`
-    constructor, instead of once per point.
-    """
-    if ScenarioBatch is None or spec.array_backend is None or len(pairs) < 2:
-        return None
-    import numpy as np
-
-    batch = ScenarioBatch(
-        sites=np.array([sites for _, sites in pairs], dtype=np.int64),
-        channels_per_site=np.array(
-            [architecture.ate_channels for architecture, _ in pairs], dtype=np.int64
-        ),
-        manufacturing_test_time_s=np.array(
-            [
-                ate.cycles_to_seconds(architecture.test_time_cycles)
-                for architecture, _ in pairs
-            ],
-            dtype=np.float64,
-        ),
-        index_time_s=probe_station.index_time_s,
-        contact_test_time_s=probe_station.contact_test_time_s,
-        contact_yield=probe_station.contact_yield,
-        manufacturing_yield=config.manufacturing_yield,
-    )
-    return [float(value) for value in spec.value_batch(batch, config, ate)]
-
-
 def evaluate_batch(
     pairs: Iterable[tuple[TestArchitecture, int]],
     ate: AteSpec,
@@ -274,13 +222,10 @@ def evaluate_batch(
 ) -> tuple[EvaluatedPoint, ...]:
     """Evaluate many ``(architecture, sites)`` pairs against one test cell.
 
-    Memo hits are served straight from the cache; the misses are evaluated
-    together through the objective's vectorised array backend (scalar
-    fallback when numpy or the array form is unavailable).  Results come
-    back in input order and are bit-identical to per-point
-    :func:`evaluate_point` calls -- the array forms perform the same
-    IEEE-754 double operations in the same order, which the kernel
-    equivalence test suite pins.
+    Each pair goes through :func:`evaluate_point`, so results come back in
+    input order, share its memo and equal per-point calls, which the
+    kernel equivalence test suite pins.  Every call updates the batch
+    counters of :func:`cache_info`.
     """
     global _batch_calls, _batch_points, _max_batch
     pairs = list(pairs)
@@ -288,33 +233,10 @@ def evaluate_batch(
     _batch_points += len(pairs)
     if len(pairs) > _max_batch:
         _max_batch = len(pairs)
-
-    spec = get_objective(objective)
-    results: list[EvaluatedPoint | None] = [None] * len(pairs)
-    keys: list[tuple] = []
-    missing: list[int] = []
-    for position, (architecture, sites) in enumerate(pairs):
-        key = (architecture, sites, ate, probe_station, config, objective)
-        keys.append(key)
-        point = _memo_get(key)
-        if point is None:
-            missing.append(position)
-        else:
-            results[position] = point
-
-    if missing:
-        missing_pairs = [pairs[position] for position in missing]
-        values = _batch_objective_values(missing_pairs, ate, probe_station, config, spec)
-        if values is None:
-            values = [None] * len(missing)  # type: ignore[list-item]
-        for position, value in zip(missing, values):
-            architecture, sites = pairs[position]
-            point = _compute_point(
-                architecture, sites, ate, probe_station, config, spec, value
-            )
-            _memo_put(keys[position], point)
-            results[position] = point
-    return tuple(results)  # type: ignore[arg-type]
+    return tuple(
+        evaluate_point(architecture, sites, ate, probe_station, config, objective)
+        for architecture, sites in pairs
+    )
 
 
 def evaluate_points(

@@ -84,10 +84,6 @@ def module_test_time(module: Module, width: int) -> int:
     return _fast_test_time(module, width)
 
 
-#: Backwards-compatible alias (the bench runner clears this cache by name).
-_cached_test_time = module_test_time
-
-
 def _fast_test_time(module: Module, width: int) -> int:
     """Test time of :func:`design_wrapper` without building the chain objects.
 

@@ -6,7 +6,10 @@ Pareto front) must be deterministic down to the row order, whatever order
 the results arrived in.
 """
 
+import dataclasses
+import itertools
 import json
+import statistics
 
 import pytest
 
@@ -149,6 +152,20 @@ class TestMetrics:
         expected = AtePricing().capital_cost_usd(record.employed_channels, record.depth)
         assert METRICS["cost"].extract(record) == pytest.approx(expected)
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"channels_per_site": 23}, "positive even number"),
+            ({"channels_per_site": 0}, "positive even number"),
+            ({"optimal_sites": 0}, "site count must be positive"),
+            ({"depth": -1}, "depth must be non-negative"),
+        ],
+    )
+    def test_cost_metric_rejects_malformed_records(self, records, fields, message):
+        record = dataclasses.replace(records[0], **fields)
+        with pytest.raises(ConfigurationError, match=message):
+            METRICS["cost"].extract(record)
+
     def test_signed_respects_sense(self, records):
         record = records[0]
         assert METRICS["time"].signed(record) == METRICS["time"].extract(record)
@@ -235,17 +252,58 @@ class TestPareto:
         assert table.column("time") == ["9634", "1.114e+04", "6.225e+04"]
 
 
-class TestVectorisedParity:
-    """The numpy aggregation paths must be bit-identical to the scalar ones.
+#: Each metric's raw value from its definition.
+_REFERENCE_METRICS = {
+    "time": lambda record: float(record.test_time_cycles),
+    "cost": lambda record: AtePricing().capital_cost_usd(
+        record.employed_channels, record.depth
+    ),
+    "throughput": lambda record: record.value,
+    "sites": lambda record: float(record.optimal_sites),
+    "channels": lambda record: float(record.channels),
+    "depth": lambda record: float(record.depth),
+}
 
-    Every view is rendered twice -- once normally (numpy, when installed)
-    and once with the module's numpy handle forced to ``None`` -- over a
-    deterministic pool of varied records including duplicates and ties.
-    The rendered text must match byte for byte.
+#: The three original axis pairs first (their ids are stable), then every
+#: other ordered pair of metrics.
+_PARETO_AXES = [("time", "cost"), ("cost", "throughput"), ("sites", "time")]
+_PARETO_AXES += [
+    pair for pair in itertools.permutations(sorted(METRICS), 2) if pair not in _PARETO_AXES
+]
+
+
+def _reference_signed(metric, record):
+    value = _REFERENCE_METRICS[metric](record)
+    return -value if METRICS[metric].sense == "max" else value
+
+
+def _reference_pareto(records, x_metric, y_metric):
+    """The O(n^2) dominance scan: the definition of the Pareto front."""
+    valued = [
+        (_reference_signed(x_metric, record), _reference_signed(y_metric, record), record)
+        for record in records
+    ]
+    front = [
+        (x, y, record)
+        for x, y, record in valued
+        if not any((ox <= x and oy < y) or (ox < x and oy <= y) for ox, oy, _ in valued)
+    ]
+    front.sort(key=lambda item: (item[0], item[1], item[2].sort_key()))
+    return tuple(record for _, _, record in front)
+
+
+class TestVectorisedParity:
+    """The aggregations must equal their direct definitions.
+
+    Two deterministic pools: 121 varied records with one exact duplicate,
+    and a few records repeated many times under distinct keys -- the shape
+    of a replicated store, full of exact metric ties.  Every metric is
+    recomputed from its definition (``cost`` via the checked pricing chain)
+    and every Pareto front against the O(n^2) dominance scan.
     """
 
     @pytest.fixture(scope="class")
-    def pool(self):
+    def pools(self):
         import random
 
         rng = random.Random(20050307)
@@ -269,32 +327,55 @@ class TestVectorisedParity:
                     lower_bound=rng.choice([None, rng.uniform(100.0, 90000.0)]),
                 )
             )
-        # Exact metric ties, so argmin/pareto tie-breaking is exercised.
-        rows.append(rows[0].__class__(**{**rows[0].__dict__, "key": "e" * 16}))
-        return tuple(rows)
-
-    def _scalar(self, monkeypatch):
-        import repro.analysis.analyze as analyze
-
-        monkeypatch.setattr(analyze, "_np", None)
+        # Exact metric ties, so tie-breaking is exercised.
+        rows.append(dataclasses.replace(rows[0], key="e" * 16))
+        repeated = [
+            dataclasses.replace(rows[index % 7], key=f"{index:016x}")
+            for index in range(7 * 40)
+        ]
+        return tuple(rows), tuple(rng.sample(repeated, len(repeated)))
 
     @pytest.mark.parametrize("metric", sorted(METRICS))
     @pytest.mark.parametrize("by", ["soc", "solver", "objective", "broadcast"])
-    def test_group_summary_identical(self, pool, metric, by, monkeypatch):
-        fast = group_summary(pool, by, metric).render()
-        self._scalar(monkeypatch)
-        assert group_summary(pool, by, metric).render() == fast
+    def test_group_summary_identical(self, pools, metric, by):
+        for pool in pools:
+            groups = {}
+            for record in pool:
+                groups.setdefault(getattr(record, by), []).append(
+                    _REFERENCE_METRICS[metric](record)
+                )
+            expected = [
+                [
+                    str(group),
+                    str(len(values)),
+                    f"{min(values):.4g}",
+                    f"{statistics.fmean(values):.4g}",
+                    f"{max(values):.4g}",
+                ]
+                for group, values in sorted(groups.items(), key=lambda item: repr(item[0]))
+            ]
+            assert group_summary(pool, by, metric).rows == expected
 
     @pytest.mark.parametrize("metric", sorted(METRICS))
-    def test_best_per_soc_identical(self, pool, metric, monkeypatch):
-        fast = best_per_soc(pool, metric)
-        self._scalar(monkeypatch)
-        assert best_per_soc(pool, metric) == fast
+    def test_metric_values_identical(self, pools, metric):
+        for pool in pools:
+            values = [METRICS[metric].extract(record) for record in pool]
+            assert values == [_REFERENCE_METRICS[metric](record) for record in pool]
 
-    @pytest.mark.parametrize(
-        "axes", [("time", "cost"), ("cost", "throughput"), ("sites", "time")]
-    )
-    def test_pareto_front_identical(self, pool, axes, monkeypatch):
-        fast = pareto_front(pool, *axes)
-        self._scalar(monkeypatch)
-        assert pareto_front(pool, *axes) == fast
+    @pytest.mark.parametrize("metric", sorted(METRICS))
+    def test_best_per_soc_identical(self, pools, metric):
+        for pool in pools:
+            socs = sorted({record.soc for record in pool})
+            expected = tuple(
+                min(
+                    (record for record in pool if record.soc == soc),
+                    key=lambda record: (_reference_signed(metric, record), record.sort_key()),
+                )
+                for soc in socs
+            )
+            assert best_per_soc(pool, metric) == expected
+
+    @pytest.mark.parametrize("axes", _PARETO_AXES)
+    def test_pareto_front_identical(self, pools, axes):
+        for pool in pools:
+            assert pareto_front(pool, *axes) == _reference_pareto(pool, *axes)

@@ -280,6 +280,32 @@ class TestKernelCounters:
         assert "synthetic sweep (cold):" in text
 
 
+class TestClearComputationCaches:
+    def test_every_process_cache_is_emptied(self):
+        from repro.api.testcell import reference_test_cell
+        from repro.bench.runner import clear_computation_caches
+        from repro.optimize.config import OptimizationConfig
+        from repro.soc.catalog import resolve_catalog_soc
+        from repro.solvers import bounds
+        from repro.wrapper import combine, pareto
+
+        soc = resolve_catalog_soc("d695")
+        cell = reference_test_cell(channels=256, depth_m=0.0625)
+        bounds.certificate(
+            soc, cell.ate, cell.probe_station, OptimizationConfig(), "throughput"
+        )
+        combine.module_test_time(soc.modules[0], 4)
+        pareto.pareto_points(soc.modules[0], 8)
+        caches = (
+            bounds._certificate,
+            combine.module_test_time,
+            pareto._cached_pareto,
+        )
+        assert all(cache.cache_info().currsize > 0 for cache in caches)
+        clear_computation_caches()
+        assert [cache.cache_info().currsize for cache in caches] == [0, 0, 0]
+
+
 class TestSyntheticSweep:
     def test_smoke_grid_size(self):
         from repro.bench.runner import synthetic_sweep_grid

@@ -1,13 +1,13 @@
-"""Bit-identity of the batch evaluation kernel against the scalar path.
+"""Equivalence of the evaluation kernel's fast paths and their references.
 
-The batch kernel (:mod:`repro.solvers.evaluate` routing through
-:mod:`repro.multisite.batch` and the array objective backends) promises to
-produce *exactly* the bytes the scalar path produces -- ``repro all``
-digests and store records depend on it.  This suite pins that promise:
+The kernel (:mod:`repro.solvers.evaluate`) memoises points, widens Step-2
+architectures incrementally and serves batches from one memo; ``repro all``
+digests and store records depend on it producing *exactly* the bytes of
+plain per-point evaluation.  This suite pins that promise:
 
-* the vectorised objective math equals per-point scalar evaluation across
-  SOCs, objectives, broadcast modes and yield settings (``==`` on floats,
-  no tolerance);
+* batch evaluation (memo probe plus incremental widening) equals per-point
+  scalar evaluation across SOCs, objectives, broadcast modes and yield
+  settings (``==`` on floats, no tolerance);
 * the incremental Step-2 widening equals from-scratch widening for every
   site count;
 * :func:`~repro.solvers.evaluate.evaluate_move` equals a full
@@ -62,7 +62,7 @@ def _step1_for(soc_name, broadcast=False, **config_kwargs):
 
 
 def _scalar_points(step1, site_counts, objective):
-    """Per-point scalar evaluation, bypassing the batch path and the memo."""
+    """Per-point scalar evaluation, bypassing the kernel and its memo."""
     from repro.objectives.registry import get_objective
 
     spec = get_objective(objective)

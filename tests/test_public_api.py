@@ -1,15 +1,82 @@
 """Tests of the top-level public API surface (``import repro``)."""
 
+import ast
 import importlib
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import repro
 
+ROOT = Path(__file__).resolve().parents[1]
+
 
 class TestPublicApi:
     def test_version(self):
         assert repro.__version__ == "1.9.0"
+
+    def test_setup_py_reads_the_package_version(self):
+        # Runs setup.py's ``read_version`` alone, so no setuptools is needed.
+        source = (ROOT / "setup.py").read_text("utf-8")
+        assert not re.search(r"version=['\"]", source)
+        tree = ast.parse(source)
+        (reader,) = [
+            node
+            for node in tree.body
+            if isinstance(node, ast.FunctionDef) and node.name == "read_version"
+        ]
+        namespace = {"re": re, "Path": Path, "__file__": str(ROOT / "setup.py")}
+        exec(compile(ast.Module(body=[reader], type_ignores=[]), "setup.py", "exec"), namespace)
+        assert namespace["read_version"]() == repro.__version__
+
+    def test_sweep_and_analysis_never_import_numpy(self):
+        # A meta-path finder refuses and records every numpy import, so the
+        # check holds whether or not numpy is installed, and an optional
+        # ``try: import numpy`` would be caught too.
+        script = """
+import sys
+
+attempts = []
+
+
+class RefuseNumpy:
+    @staticmethod
+    def find_spec(name, path=None, target=None):
+        if name == "numpy" or name.startswith("numpy."):
+            attempts.append(name)
+            raise ImportError(f"numpy import refused: {name}")
+        return None
+
+
+sys.meta_path.insert(0, RefuseNumpy)
+
+from repro import Engine, Scenario, reference_test_cell
+from repro.analysis import best_table, group_summary, pareto_table, records_from_results
+cell = reference_test_cell(channels=256, depth_m=1.0)
+grid = Scenario.sweep("synthetic:7:6", cell, channels=[128, 256])
+assert len(grid) == 2
+records = records_from_results(Engine().run_batch(grid, workers=1))
+for table in (
+    group_summary(records, "channels", "cost"),
+    best_table(records, "throughput"),
+    pareto_table(records, "time", "cost"),
+):
+    table.render()
+assert not attempts, attempts
+assert "numpy" not in sys.modules
+"""
+        completed = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert completed.returncode == 0, completed.stderr
 
     def test_all_names_resolve(self):
         for name in repro.__all__:
