@@ -1,14 +1,22 @@
 """Micro-benchmark for the scenario engine: parallel batch vs serial.
 
-Runs a 16-scenario d695 sweep (channels x vector-memory depths) twice --
-once serially through ``Engine.run`` and once through
-``Engine.run_batch(workers=4)`` -- and checks that
+Runs a 24-scenario sweep (24 distinct synthetic SOCs, one operating point
+each) serially through ``Engine.run`` and through
+``Engine.run_batch(workers=4)``, and checks that
 
 * the batch returns bit-identical results, and
 * four workers beat serial execution on wall-clock time.
 
-Both engines start cold (no cache), so the comparison measures execution,
-not memoisation; a third timed pass measures the cache-hit path.
+Every timed round starts cold: a fresh engine, and the process-wide
+computation caches (kernel memo, wrapper test-time curves, certificates)
+cleared, so forked workers cannot inherit curves an earlier round built.
+The comparison therefore measures execution, not memoisation.  The SOCs
+are distinct and built before timing, so no scenario reuses another's
+work in either leg, and each result is small next to its computation (a
+d695 result costs more to pickle back from a worker than to compute).
+The legs are timed in :data:`ROUNDS` back-to-back pairs and compared on
+the median pair, which keeps load bursts of a shared host out of the
+comparison.  A final timed pass measures the cache-hit path.
 """
 
 from __future__ import annotations
@@ -18,7 +26,8 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 
 from repro.api import Engine, Scenario, reference_test_cell
-from repro.core.units import kilo_vectors
+from repro.bench.runner import clear_computation_caches
+from repro.soc.catalog import resolve_catalog_soc, synthetic_family
 
 
 def _parallelism_expected() -> bool:
@@ -40,40 +49,64 @@ def _parallelism_expected() -> bool:
     except Exception:
         return False
 
-#: 4 channel counts x 4 depths = 16 scenarios, sized so one optimisation
-#: takes long enough for process fan-out to pay for itself.
-SWEEP_CHANNELS = (512, 768, 1024, 1280)
-SWEEP_DEPTHS_K = (256, 384, 512, 768)
+#: 24 distinct 100-module synthetic SOCs, one operating point each, sized
+#: so a cold serial leg takes about a second.
+SWEEP_SOCS = synthetic_family(5000, count=24, modules=100)
+
+#: Paired timed rounds; the comparison uses the round with the median
+#: batch/serial ratio.
+ROUNDS = 5
 
 
 def _sweep() -> list[Scenario]:
-    cell = reference_test_cell(channels=512, depth_m=0.25)
-    return Scenario.sweep(
-        "d695",
-        cell,
-        channels=list(SWEEP_CHANNELS),
-        depths=[kilo_vectors(depth_k) for depth_k in SWEEP_DEPTHS_K],
-    )
+    cell = reference_test_cell(channels=512, depth_m=4)
+    for name in SWEEP_SOCS:
+        resolve_catalog_soc(name)
+    return [Scenario(soc=name, test_cell=cell) for name in SWEEP_SOCS]
+
+
+def _cold_seconds(leg) -> tuple[float, object]:
+    """Wall time of ``leg()`` from cold process caches, and its result."""
+    clear_computation_caches()
+    start = time.perf_counter()
+    result = leg()
+    return time.perf_counter() - start, result
+
+
+def _median_round(serial_leg, batch_leg):
+    """Time both legs back to back for :data:`ROUNDS` rounds.
+
+    Returns the serial and batch seconds of the round with the median
+    batch/serial ratio, then the last round's serial and batch results.
+    Timing the legs of one round back to back gives both the same host
+    load; the median keeps a load burst that hits one leg out of the result.
+    """
+    rounds = []
+    for _ in range(ROUNDS):
+        serial_seconds, serial = _cold_seconds(serial_leg)
+        batch_seconds, batch = _cold_seconds(batch_leg)
+        rounds.append((batch_seconds / serial_seconds, serial_seconds, batch_seconds))
+    _, serial_seconds, batch_seconds = sorted(rounds)[len(rounds) // 2]
+    return serial_seconds, batch_seconds, serial, batch
 
 
 def test_batch_api_benchmark(benchmark):
     scenarios = _sweep()
-    assert len(scenarios) == 16
+    assert len(scenarios) == len(SWEEP_SOCS)
 
-    serial_engine = Engine()
-    start = time.perf_counter()
-    serial = [serial_engine.run(scenario) for scenario in scenarios]
-    serial_seconds = time.perf_counter() - start
+    def serial_leg():
+        engine = Engine()
+        return [engine.run(scenario) for scenario in scenarios]
 
-    batch_engine = Engine()
-    start = time.perf_counter()
-    batch = benchmark.pedantic(
-        batch_engine.run_batch, args=(scenarios,), kwargs={"workers": 4},
-        rounds=1, iterations=1,
+    def batch_leg():
+        engine = Engine()
+        return engine, engine.run_batch(scenarios, workers=4)
+
+    serial_seconds, batch_seconds, serial, (batch_engine, batch) = benchmark.pedantic(
+        _median_round, args=(serial_leg, batch_leg), rounds=1, iterations=1
     )
-    batch_seconds = time.perf_counter() - start
 
-    assert len(batch) == 16
+    assert len(batch) == len(scenarios)
     for serial_item, batch_item in zip(serial, batch):
         assert serial_item.scenario == batch_item.scenario
         assert serial_item.result == batch_item.result
@@ -83,7 +116,7 @@ def test_batch_api_benchmark(benchmark):
     batch_engine.run_batch(scenarios, workers=4)
     cached_seconds = time.perf_counter() - start
     info = batch_engine.cache_info()
-    assert info.misses == 16 and info.hits == 16
+    assert info.misses == len(scenarios) and info.hits == len(scenarios)
     assert cached_seconds < serial_seconds / 10
 
     parallel = _parallelism_expected()
@@ -97,7 +130,8 @@ def test_batch_api_benchmark(benchmark):
 
     print()
     print(
-        f"16-scenario d695 sweep: serial {serial_seconds:.2f} s, "
+        f"{len(scenarios)}-scenario synthetic sweep, median of {ROUNDS} rounds: "
+        f"serial {serial_seconds:.2f} s, "
         f"4 workers {batch_seconds:.2f} s (speedup x{speedup:.2f}), "
         f"cached re-run {cached_seconds * 1000:.1f} ms"
         + (

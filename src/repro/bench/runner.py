@@ -165,7 +165,7 @@ def clear_computation_caches() -> None:
 
     Cold-path timings are only meaningful when earlier work in the same
     process cannot leak in through the evaluation kernel's memo, the
-    wrapper-design caches or the lower-bound certificate cache.  The
+    wrapper test-time caches or the lower-bound certificate cache.  The
     bench's cold legs (and the store benchmark tests) call this before
     timing; persistent stores are untouched --
     store warmth is a property of the directory, not the process.
@@ -173,11 +173,11 @@ def clear_computation_caches() -> None:
     means the report's per-section counter deltas never go backwards.
     """
     from repro.solvers import bounds
-    from repro.wrapper import combine, pareto
+    from repro.wrapper import combine
 
     evaluate_kernel.drop_memo()
     combine.module_test_time.cache_clear()
-    pareto._cached_pareto.cache_clear()
+    combine.module_curve.cache_clear()
     bounds._certificate.cache_clear()
 
 

@@ -256,7 +256,11 @@ def evaluate_points(
     bottleneck choice depends only on the current architecture, and the
     channel budgets grow monotonically as sites are given up -- widening to
     budget ``b1`` and then to ``b2 >= b1`` performs exactly the wire
-    assignments of widening straight to ``b2``.
+    assignments of widening straight to ``b2``.  That argument is
+    unaffected by :func:`~repro.tam.redistribution.widen_bottleneck`
+    handing the wires out in runs and jumps: it lands on the architecture
+    of the one-wire-at-a-time greedy, which the kernel equivalence test
+    suite pins.
 
     Returns one :class:`EvaluatedPoint` per requested site count, in input
     order.  Raises :class:`~repro.core.exceptions.ConfigurationError` for

@@ -16,7 +16,7 @@ from functools import cached_property
 from repro.core.exceptions import ConfigurationError
 from repro.core.fingerprint import pickle_state
 from repro.soc.module import Module
-from repro.wrapper.combine import module_test_time
+from repro.wrapper.combine import module_curve
 
 
 @dataclass(frozen=True)
@@ -65,7 +65,8 @@ class ChannelGroup:
     @cached_property
     def fill(self) -> int:
         """Vector-memory depth consumed on this group's channels (cycles)."""
-        return sum(module_test_time(module, self.width) for module in self.modules)
+        width = self.width
+        return sum(module_curve(module).at(width) for module in self.modules)
 
     @property
     def module_names(self) -> tuple[str, ...]:
@@ -76,12 +77,12 @@ class ChannelGroup:
         """Fill this group's module set would have at a different TAM width."""
         if width <= 0:
             raise ConfigurationError(f"width must be positive, got {width}")
-        return sum(module_test_time(module, width) for module in self.modules)
+        return sum(module_curve(module).at(width) for module in self.modules)
 
     def fill_with(self, module: Module, width: int | None = None) -> int:
         """Fill after additionally assigning ``module`` (optionally at a new width)."""
         effective = self.width if width is None else width
-        return self.fill_at_width(effective) + module_test_time(module, effective)
+        return self.fill_at_width(effective) + module_curve(module).at(effective)
 
     def free_depth(self, depth: int) -> int:
         """Unused vector-memory depth on this group's channels."""

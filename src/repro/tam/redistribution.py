@@ -13,18 +13,30 @@ that widens an architecture up to a given per-site channel budget.
 
 from __future__ import annotations
 
+import heapq
+
 from repro.core.exceptions import ConfigurationError
 from repro.tam.architecture import TestArchitecture
+from repro.wrapper.combine import module_curve
 
 
 def widen_bottleneck(architecture: TestArchitecture, extra_wires: int) -> TestArchitecture:
     """Distribute ``extra_wires`` additional TAM wires over the architecture.
 
-    Wires are handed out one at a time, each to the channel group whose fill
-    is currently the largest (ties towards the lower group index for
-    determinism).  The resulting architecture therefore has
-    ``total_width + extra_wires`` wires and a test time no larger than the
-    original's.
+    The result is that of handing the wires out one at a time, each to the
+    channel group whose fill is currently the largest (ties towards the
+    lower group position for determinism).  The resulting architecture
+    therefore has ``total_width + extra_wires`` wires and a test time no
+    larger than the original's.
+
+    The wires are handed out in runs instead: a heap on ``(-fill,
+    position)`` yields the bottleneck group, which keeps taking wires while
+    its new fill (read from the modules' test-time curves) still beats the
+    heap top.  Once every module of the group is past its
+    ``max_useful_width`` its fill is flat, so it stays the bottleneck and
+    takes all remaining wires in one jump.  Each widened group is rebuilt
+    once, at the end.  Equality with the wire-by-wire greedy is pinned by
+    the kernel equivalence test suite.
 
     Parameters
     ----------
@@ -37,17 +49,35 @@ def widen_bottleneck(architecture: TestArchitecture, extra_wires: int) -> TestAr
         raise ConfigurationError(f"extra wire count must be non-negative, got {extra_wires}")
     if extra_wires == 0:
         return architecture
-    # Track the groups and their fills locally so each wire only re-derives
-    # the fill of the one group it widened; the architecture (and its full
-    # validation pass) is rebuilt once at the end.
-    groups = list(architecture.groups)
-    fills = [group.fill for group in groups]
-    for _ in range(extra_wires):
-        bottleneck = max(range(len(fills)), key=lambda position: (fills[position], -position))
-        widened = groups[bottleneck].with_width(groups[bottleneck].width + 1)
-        groups[bottleneck] = widened
-        fills[bottleneck] = widened.fill
-    return architecture.with_groups(tuple(groups))
+    groups = architecture.groups
+    widths = [group.width for group in groups]
+    heap = [(-group.fill, position) for position, group in enumerate(groups)]
+    heapq.heapify(heap)
+    remaining = extra_wires
+    while remaining:
+        key = heapq.heappop(heap)
+        position = key[1]
+        curves = [module_curve(module) for module in groups[position].modules]
+        flat_from = max((len(curve.times) for curve in curves), default=0)
+        width = widths[position]
+        while remaining:
+            if width >= flat_from:
+                width += remaining
+                remaining = 0
+                break
+            width += 1
+            remaining -= 1
+            key = (-sum(curve.at(width) for curve in curves), position)
+            if heap and key > heap[0]:
+                break
+        widths[position] = width
+        heapq.heappush(heap, key)
+    return architecture.with_groups(
+        tuple(
+            group if group.width == width else group.with_width(width)
+            for group, width in zip(groups, widths)
+        )
+    )
 
 
 def widen_to_channel_budget(

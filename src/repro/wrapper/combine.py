@@ -13,14 +13,18 @@ in three steps:
 3. Distribute the wrapper *output* cells likewise for the scan-out paths.
 
 The resulting :class:`~repro.wrapper.design.WrapperDesign` determines the
-module test time at width ``w``.  The helper :func:`min_width_for_depth`
-finds the smallest width whose test time fits within an ATE vector-memory
-depth -- the quantity Step 1 of the paper's algorithm needs for every
-module.
+module test time at width ``w``.  Both steps of the paper's method only
+need that time, for many widths of every module, so each module's whole
+test-time staircase is computed once (:func:`module_curve`) and every
+query reads it: :func:`module_test_time`, :func:`min_width_for_depth` (the
+smallest width whose test time fits within an ATE vector-memory depth --
+the quantity Step 1 needs for every module), the Pareto widths of
+:mod:`repro.wrapper.pareto` and the channel-group fills Step 2 widens.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import lru_cache
 
 from repro.core.exceptions import ConfigurationError, InfeasibleDesignError
@@ -78,27 +82,80 @@ def design_wrapper(module: Module, width: int) -> WrapperDesign:
     return WrapperDesign(module=module, width=width, chains=tuple(chains))
 
 
+@dataclass(frozen=True)
+class TestTimeCurve:
+    """A module's whole COMBINE test-time staircase.
+
+    ``times[w - 1]`` is the test time (cycles) at wrapper width ``w`` for
+    ``w = 1 .. max_useful_width``.  From that width on every scan chain has
+    a wrapper chain of its own and the wrapper cells fit one per empty
+    wrapper chain, so more wires leave the time unchanged and :meth:`at`
+    reads the last entry.  ``breakpoints`` are the Pareto widths:
+    width 1 and every width whose time is strictly below that of all
+    narrower widths.
+    """
+
+    times: tuple[int, ...]
+    breakpoints: tuple[int, ...]
+
+    # Tell pytest this is a domain class, not a test-case class.
+    __test__ = False
+
+    def at(self, width: int) -> int:
+        """Test time at a positive ``width`` (constant past the curve's end)."""
+        times = self.times
+        return times[width - 1] if width <= len(times) else times[-1]
+
+
+@lru_cache(maxsize=50_000)
+def module_curve(module: Module) -> TestTimeCurve:
+    """The (cached) test-time curve of ``module``, built once per module.
+
+    The LPT/BFD scan-chain partition only runs for widths below the
+    scan-chain count.  From that width on every scan chain has a wrapper
+    chain of its own (LPT puts each chain on an empty bin and meets the
+    trivial makespan bound, so :func:`best_partition` returns it), and the
+    sorted loads are just the zero-padded sorted chain lengths.  The equality
+    of every entry with :func:`_fast_test_time` is pinned by the kernel
+    equivalence test suite.
+    """
+    chains = module.num_scan_chains
+    own_chains = sorted(module.scan_lengths)
+    times: list[int] = []
+    breakpoints: list[int] = []
+    for width in range(1, module.max_useful_width + 1):
+        if width < chains:
+            time = _fast_test_time(module, width)
+        else:
+            time = _time_from_loads(module, [0] * (width - chains) + own_chains)
+        if not times or time < times[breakpoints[-1] - 1]:
+            breakpoints.append(width)
+        times.append(time)
+    return TestTimeCurve(times=tuple(times), breakpoints=tuple(breakpoints))
+
+
 @lru_cache(maxsize=200_000)
 def module_test_time(module: Module, width: int) -> int:
-    """Module test time (cycles) with a COMBINE wrapper of ``width`` wires."""
-    return _fast_test_time(module, width)
+    """Module test time (cycles) with a COMBINE wrapper of ``width`` wires.
+
+    One index into the module's :func:`module_curve`, behind an lru so the
+    per-``(module, width)`` lookups stay countable.  Widths past
+    ``module.max_useful_width`` read the curve's constant tail.
+    """
+    if width <= 0:
+        raise ConfigurationError(
+            f"wrapper width must be positive, got {width} for module {module.name!r}"
+        )
+    return module_curve(module).at(width)
 
 
 def _fast_test_time(module: Module, width: int) -> int:
     """Test time of :func:`design_wrapper` without building the chain objects.
 
-    The test time only depends on the maximum scan-in and scan-out lengths.
-    After the scan-chain partition, water-filling ``cells`` wrapper cells
-    over the chain loads gives a maximum final load of
-    ``max(max(loads), level)`` where ``level`` is the water level
-    (:func:`~repro.wrapper.partition.water_level`): chains above the level
-    keep their load, and at least one raised chain always sits exactly at
-    the level -- the surplus removed after the last full level is strictly
-    smaller than the number of raised chains, or the level would not be
-    minimal.  So neither the per-chain cell counts nor the
-    :class:`~repro.wrapper.design.WrapperChain` objects are needed here.
-    Equality with the full design is pinned by the kernel equivalence test
-    suite.
+    This is the per-width computation behind :func:`module_curve` (which
+    only calls it below the scan-chain count) and the reference the curve
+    is checked against.  Equality with the full design is pinned by the
+    kernel equivalence test suite.
     """
     if width <= 0:
         raise ConfigurationError(
@@ -111,6 +168,24 @@ def _fast_test_time(module: Module, width: int) -> int:
             loads = [0] * (width - len(loads)) + loads
     else:
         loads = [0] * width
+    return _time_from_loads(module, loads)
+
+
+def _time_from_loads(module: Module, loads: list[int]) -> int:
+    """Test time once the scan chains sit on wrapper chains with ``loads``.
+
+    ``loads`` are the per-wrapper-chain scan flip-flop counts, sorted
+    ascending, one per wire.  The test time only depends on the maximum
+    scan-in and scan-out lengths.  Water-filling ``cells`` wrapper cells
+    over the loads gives a maximum final load of ``max(max(loads), level)``
+    where ``level`` is the water level
+    (:func:`~repro.wrapper.partition.water_level`): chains above the level
+    keep their load, and at least one raised chain always sits exactly at
+    the level -- the surplus removed after the last full level is strictly
+    smaller than the number of raised chains, or the level would not be
+    minimal.  So neither the per-chain cell counts nor the
+    :class:`~repro.wrapper.design.WrapperChain` objects are needed here.
+    """
     longest = loads[-1]
     input_cells = module.wrapper_input_cells
     output_cells = module.wrapper_output_cells
@@ -144,8 +219,9 @@ def min_width_for_depth(module: Module, depth: int, max_width: int) -> int:
     if max_width <= 0:
         raise ConfigurationError(f"max width must be positive, got {max_width}")
 
-    effective_max = min(max_width, module.max_useful_width)
-    if module_test_time(module, effective_max) > depth:
+    times = module_curve(module).times
+    effective_max = min(max_width, len(times))
+    if times[effective_max - 1] > depth:
         raise InfeasibleDesignError(
             f"module {module.name!r} needs more than {max_width} TAM wires to fit "
             f"a vector-memory depth of {depth} vectors",
@@ -156,13 +232,13 @@ def min_width_for_depth(module: Module, depth: int, max_width: int) -> int:
     low, high = 1, effective_max
     while low < high:
         mid = (low + high) // 2
-        if module_test_time(module, mid) <= depth:
+        if times[mid - 1] <= depth:
             high = mid
         else:
             low = mid + 1
     # The COMBINE heuristics are not formally guaranteed to be monotone in
     # the width, so guard against the rare anomaly where the binary search
     # lands on a width that does not actually fit.
-    while low < effective_max and module_test_time(module, low) > depth:
+    while low < effective_max and times[low - 1] > depth:
         low += 1
     return low

@@ -12,11 +12,10 @@ the theoretical lower bound on ATE channels work on these Pareto points.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from repro.core.exceptions import ConfigurationError
 from repro.soc.module import Module
-from repro.wrapper.combine import module_test_time
+from repro.wrapper.combine import module_curve
 
 
 @dataclass(frozen=True)
@@ -37,23 +36,17 @@ def pareto_points(module: Module, max_width: int) -> tuple[ParetoPoint, ...]:
 
     The result is sorted by increasing width (and therefore non-increasing
     test time).  Width 1 is always included; widths that do not strictly
-    improve on a smaller width are dropped.
+    improve on a smaller width are dropped.  The points are the breakpoints
+    of the module's cached test-time curve, so nothing is recomputed here.
     """
     if max_width <= 0:
         raise ConfigurationError(f"max width must be positive, got {max_width}")
-    return _cached_pareto(module, min(max_width, module.max_useful_width))
-
-
-@lru_cache(maxsize=50_000)
-def _cached_pareto(module: Module, max_width: int) -> tuple[ParetoPoint, ...]:
-    points: list[ParetoPoint] = []
-    best_time: int | None = None
-    for width in range(1, max_width + 1):
-        time = module_test_time(module, width)
-        if best_time is None or time < best_time:
-            points.append(ParetoPoint(width=width, test_time_cycles=time))
-            best_time = time
-    return tuple(points)
+    curve = module_curve(module)
+    return tuple(
+        ParetoPoint(width=width, test_time_cycles=curve.times[width - 1])
+        for width in curve.breakpoints
+        if width <= max_width
+    )
 
 
 def min_test_time(module: Module, max_width: int) -> int:

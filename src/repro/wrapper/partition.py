@@ -20,6 +20,7 @@ reconstruct which scan chains ended up on which wrapper chain.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -162,10 +163,13 @@ def water_level(sorted_loads: Sequence[int], cells: int) -> int:
     be positive.  With the loads sorted, the capacity restricted to the
     ``k`` smallest loads is the closed form ``k * L - prefix_k``, so the
     level is found directly from prefix sums instead of by binary search.
+    The level is at least 1, so it always passes every zero load: the scan
+    starts after the zero prefix (found by ``bisect``), which is most of
+    the loads of a wide wrapper.
     """
     num = len(sorted_loads)
     prefix = 0
-    for k in range(1, num + 1):
+    for k in range(max(1, bisect_right(sorted_loads, 0)), num + 1):
         prefix += sorted_loads[k - 1]
         # Smallest L with k * L - prefix >= cells, valid while at most the
         # k smallest loads sit below L (i.e. L does not pass the next load).

@@ -295,11 +295,11 @@ class TestClearComputationCaches:
             soc, cell.ate, cell.probe_station, OptimizationConfig(), "throughput"
         )
         combine.module_test_time(soc.modules[0], 4)
-        pareto.pareto_points(soc.modules[0], 8)
+        pareto.pareto_points(soc.modules[1], 8)
         caches = (
             bounds._certificate,
             combine.module_test_time,
-            pareto._cached_pareto,
+            combine.module_curve,
         )
         assert all(cache.cache_info().currsize > 0 for cache in caches)
         clear_computation_caches()
