@@ -20,12 +20,12 @@ from repro.bench.runner import (
     results_digest,
     synthetic_sweep_grid,
 )
-from repro.store.result_store import ResultStore
+from repro.store.packed import PackedResultStore
 
 from conftest import run_once
 
 
-def _timed_sweep(store: ResultStore):
+def _timed_sweep(store: PackedResultStore):
     grid = bench_sweep_grid() + synthetic_sweep_grid(smoke=True)
     engine = Engine(store=store)
     started = time.perf_counter()
@@ -38,11 +38,11 @@ def test_warm_store_sweep_at_least_2x_faster(benchmark, tmp_path):
     # Earlier benchmarks in the session warm the process-wide computation
     # caches; drop them so the cold leg actually computes.
     clear_computation_caches()
-    cold_seconds, cold_results, cold_info = _timed_sweep(ResultStore(store_dir))
+    cold_seconds, cold_results, cold_info = _timed_sweep(PackedResultStore(store_dir))
     assert cold_info.store_hits == 0
 
     warm_seconds, warm_results, warm_info = run_once(
-        benchmark, _timed_sweep, ResultStore(store_dir)
+        benchmark, _timed_sweep, PackedResultStore(store_dir)
     )
 
     assert warm_info.store_hits == len(cold_results)

@@ -73,13 +73,13 @@ Campaign artifacts -- store directories and sweep JSONL files -- analyse
 back into tables with :mod:`repro.analysis` (``python -m repro analyze``):
 group-by summaries, best-per-SOC selection and 2-D Pareto fronts
 (e.g. test time vs employed ATE capital).  Results can be
-persisted across processes with the content-addressed on-disk store
-(:mod:`repro.store`): attach one to an engine and equal scenarios are
-solved once per *store directory* instead of once per process::
+persisted across processes with the content-addressed on-disk packed
+store (:mod:`repro.store`): attach one to an engine and equal scenarios
+are solved once per *store directory* instead of once per process::
 
-    from repro import Engine, ResultStore
+    from repro import Engine
 
-    engine = Engine(store=ResultStore("~/.cache/repro-store"))
+    engine = Engine(store="~/.cache/repro-store")
 
 (or pass ``--store DIR`` to the CLI).  ``python -m repro bench`` times the
 registered experiments, solver backends and the d695 sweep, and writes the
@@ -93,8 +93,8 @@ The classic free functions remain fully supported as thin entry points::
     ate = reference_ate(channels=256, depth_m=0.0625)
     result = optimize_multisite(soc, ate)          # solver="goel05"
 
-The layering of the sub-packages (and where to add a new solver,
-experiment or store backend) is documented in ARCHITECTURE.md; the CLI
+The layering of the sub-packages (and where to add a new solver or
+experiment) is documented in ARCHITECTURE.md; the CLI
 reference lives in docs/cli.md.  The most commonly used entry points are
 re-exported here.
 """
@@ -165,7 +165,6 @@ from repro.soc import (
 from repro.schedule import TestSchedule, build_schedule
 from repro.store import (
     PackedResultStore,
-    ResultStore,
     StoreEntry,
     StoreInfo,
     migrate_store,
@@ -245,7 +244,6 @@ __all__ = [
     "TestSchedule",
     "build_schedule",
     "PackedResultStore",
-    "ResultStore",
     "StoreEntry",
     "StoreInfo",
     "migrate_store",

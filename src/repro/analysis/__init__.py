@@ -1,7 +1,7 @@
 """Campaign analysis over persisted results (``repro analyze``).
 
-The campaign layer (PR 4) streams sweeps into :class:`~repro.store.
-ResultStore` directories and JSONL files; this package turns those
+The campaign layer streams sweeps into :class:`~repro.store.
+PackedResultStore` directories and JSONL files; this package turns those
 artifacts back into answers.  :mod:`repro.analysis.records` normalises
 either source (or in-memory engine results) into flat, deterministic
 :class:`AnalysisRecord` rows; :mod:`repro.analysis.analyze` provides the

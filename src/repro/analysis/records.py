@@ -1,7 +1,7 @@
 """Flat campaign records: one row per solved scenario, whatever the source.
 
 The campaign layer leaves results behind in two persistent shapes: the
-content-addressed :class:`~repro.store.ResultStore` directories that
+content-addressed :class:`~repro.store.PackedResultStore` directories that
 ``--store`` runs fill, and the JSONL files ``repro sweep --output`` streams.
 Analysis needs one columnar view over both, so this module normalises
 either source (plus in-memory :class:`~repro.api.engine.ScenarioResult`
@@ -15,7 +15,7 @@ always produce the same table no matter the completion or file order they
 were written in.
 
 Store scans prefer the **columnar sidecars** the store layer maintains
-(:mod:`repro.store.columns`): packed segments are scanned sidecar-first --
+(:mod:`repro.store.columns`): segments are scanned sidecar-first --
 optionally in parallel, one segment per process-pool task -- and only the
 rows a sidecar cannot answer fall back to full-record decode, so the
 output is identical either way, row for row and bit for bit.
@@ -34,7 +34,6 @@ from repro.optimize.channels import total_channels_used
 from repro.store import columns as columns_module
 from repro.store.factory import open_store
 from repro.store.packed import PackedResultStore
-from repro.store.result_store import ResultStore
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.api.engine import ScenarioResult
@@ -144,7 +143,7 @@ def records_from_results(results: Iterable["ScenarioResult"]) -> tuple[AnalysisR
 
 
 def records_from_store(
-    store: "ResultStore | PackedResultStore | str | Path",
+    store: "PackedResultStore | str | Path",
     *,
     columns: bool = True,
     workers: int | None = None,
@@ -152,33 +151,28 @@ def records_from_store(
 ) -> tuple[AnalysisRecord, ...]:
     """Scan a persistent result store into analysis records.
 
-    Accepts a store object or the path of one (either backend -- legacy
-    directory or packed; see :func:`repro.store.open_store`).  Corrupt
-    records are skipped, exactly as the store's own readers do.
+    Accepts a store object or the path of one (see
+    :func:`repro.store.open_store`).  Corrupt records are skipped, exactly
+    as the store's own readers do.
 
     With ``columns`` (the default) the scan reads the store's columnar
     sidecars where they are valid and decodes record payloads only where
-    they are not, producing bit-identical records either way; packed
-    stores additionally accept ``workers`` to scan segments in a process
-    pool (one task per segment, merged deterministically).  ``progress``
-    receives one stderr-style line per scanned segment / decode batch.
+    they are not, producing bit-identical records either way; ``workers``
+    scans segments in a process pool (one task per segment, merged
+    deterministically).  ``columns=False`` runs the full-decode reference
+    scan instead.  ``progress`` receives one stderr-style line per scanned
+    segment / decode batch.
     """
     store = open_store(store)
-    if columns and isinstance(store, PackedResultStore):
-        return _finalize(_packed_column_rows(store, workers=workers, progress=progress))
-    if columns and isinstance(store, ResultStore):
-        rows = columns_module.read_dir_sidecar(store)
-        if rows is not None:
-            if progress is not None:
-                progress(f"[1/1] {columns_module.DIR_SIDECAR}: {len(rows)} row(s)")
-            return _finalize(AnalysisRecord(*row) for row in rows)
+    if columns:
+        return _finalize(_column_rows(store, workers=workers, progress=progress))
     return _finalize(_decoded_rows(store, progress=progress))
 
 
 def _decoded_rows(
-    store: "ResultStore | PackedResultStore", progress: "ProgressFn | None" = None
+    store: PackedResultStore, progress: "ProgressFn | None" = None
 ) -> Iterable[AnalysisRecord]:
-    """Full-record decode of a store (the reference scan both backends share)."""
+    """Full-record decode of a store (the reference scan the sidecars must match)."""
     from repro.solvers.bounds import certificate
 
     rows = []
@@ -215,12 +209,12 @@ def _decoded_rows(
     return rows
 
 
-def _packed_column_rows(
+def _column_rows(
     store: PackedResultStore,
     workers: int | None = None,
     progress: "ProgressFn | None" = None,
 ) -> Iterable[AnalysisRecord]:
-    """Sidecar-first scan of a packed store, one segment at a time.
+    """Sidecar-first scan of a store, one segment at a time.
 
     The live ``(offset, length)`` work list comes from the store's index,
     so this reads exactly the record copies the full-decode path reads
@@ -355,7 +349,7 @@ def records_from_jsonl(
 
 
 def load_records(
-    store: "ResultStore | PackedResultStore | str | Path | None" = None,
+    store: "PackedResultStore | str | Path | None" = None,
     jsonl_paths: Sequence[str | Path] = (),
     *,
     columns: bool = True,

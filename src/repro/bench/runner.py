@@ -63,7 +63,7 @@ from repro.experiments.registry import get_experiment, experiment_names
 from repro.solvers import evaluate as evaluate_kernel
 from repro.solvers.registry import solver_names
 from repro.store.factory import open_store
-from repro.store.result_store import ResultStore
+from repro.store.packed import PackedResultStore
 
 #: Version of the report payload layout.
 BENCH_FORMAT = 1
@@ -200,7 +200,7 @@ def _kernel_delta(
 
 
 def _bench_experiments(
-    names: Sequence[str], store: ResultStore | None
+    names: Sequence[str], store: PackedResultStore | None
 ) -> list[dict[str, Any]]:
     """Time each registered experiment through its own (store-backed) engine."""
     rows: list[dict[str, Any]] = []
@@ -228,7 +228,7 @@ def _bench_experiments(
 SA_BENCH_KNOBS = {"temperature": 0.5, "cooling": 0.7, "moves_per_temp": 10}
 
 
-def _bench_solvers(store: ResultStore | None) -> list[dict[str, Any]]:
+def _bench_solvers(store: PackedResultStore | None) -> list[dict[str, Any]]:
     """Time each registered solver backend on the reference d695 point."""
     cell = reference_test_cell(channels=256, depth_m=0.0625)
     rows: list[dict[str, Any]] = []
@@ -258,7 +258,7 @@ def _bench_solvers(store: ResultStore | None) -> list[dict[str, Any]]:
 
 
 def _bench_sweep(
-    store: ResultStore | None,
+    store: PackedResultStore | None,
     smoke: bool,
     workers: int | None,
     objective: str = DEFAULT_OBJECTIVE,
@@ -418,7 +418,6 @@ def _bench_analysis(smoke: bool) -> dict[str, Any]:
     """
     from repro.analysis.analyze import records_table
     from repro.analysis.records import records_from_store
-    from repro.store.packed import PackedResultStore
     from repro.store.result_store import make_record
 
     target = SMOKE_ANALYSIS_BENCH_RECORDS if smoke else ANALYSIS_BENCH_RECORDS
@@ -500,7 +499,7 @@ def _bench_campaign(smoke: bool, workers: int | None) -> dict[str, Any]:
 
 def run_bench(
     tag: str | None = None,
-    store: ResultStore | str | Path | None = None,
+    store: PackedResultStore | str | Path | None = None,
     smoke: bool = False,
     workers: int | None = None,
     objective: str = DEFAULT_OBJECTIVE,

@@ -17,8 +17,8 @@ Installed as ``repro-multisite`` (see ``setup.py``) and runnable as
 * ``solvers``    -- list the registered solver backends;
 * ``objectives`` -- list the registered optimisation objectives;
 * ``store``      -- inspect and maintain a persistent result store
-  (``store info``, ``store migrate`` to the packed backend,
-  ``store compact``);
+  (``store info``, ``store compact``, ``store reindex``, and ``store
+  migrate`` to convert a legacy one-file-per-record directory);
 * ``serve``      -- run the campaign service daemon: lease sweep shards to
   workers over HTTP/JSON and collect their records into one store;
 * ``work``       -- the matching worker loop: lease shards from a
@@ -33,10 +33,12 @@ Installed as ``repro-multisite`` (see ``setup.py``) and runnable as
 
 Result-producing sub-commands accept ``--store DIR``: scenario results are
 then read from and written to a persistent
-:class:`~repro.store.ResultStore` in that directory, so repeated
-invocations skip already-solved operating points.  Without the flag every
-run is computed from scratch (and ``python -m repro all`` output stays
-byte-identical to earlier releases).
+:class:`~repro.store.PackedResultStore` in that directory (a fresh
+directory becomes a new packed store; a legacy one-file-per-record
+directory is rejected until ``repro store migrate`` converts it), so
+repeated invocations skip already-solved operating points.  Without the
+flag every run is computed from scratch (and ``python -m repro all``
+output stays byte-identical to earlier releases).
 
 The experiment sub-commands are generated from the experiment registry
 (:mod:`repro.experiments.registry`), so registering a new experiment adds
@@ -94,7 +96,7 @@ from repro.soc.soc import Soc
 from repro.solvers.registry import DEFAULT_SOLVER, list_solvers
 from repro.store.factory import is_packed, migrate_store, open_store
 from repro.store.packed import PackedResultStore
-from repro.store.result_store import STORE_FORMAT, ResultStore
+from repro.store.result_store import STORE_FORMAT
 
 #: Sub-commands with bespoke handlers; every other sub-command is generated
 #: from (and dispatched through) the experiment registry.
@@ -141,11 +143,7 @@ def _store_options() -> argparse.ArgumentParser:
 
 
 def _engine_from_args(args: argparse.Namespace) -> Engine:
-    """Build the engine a sub-command runs through (store-backed with --store).
-
-    The backend (legacy directory or packed) is detected from the store's
-    on-disk layout, so every sub-command works over either transparently.
-    """
+    """Build the engine a sub-command runs through (store-backed with --store)."""
     store = getattr(args, "store", None)
     return Engine(store=open_store(store) if store else None)
 
@@ -740,8 +738,8 @@ def _add_store_parser(
     store_subparsers.add_parser(
         "info",
         parents=[store_options],
-        help="record count, bytes and format of a --store directory "
-        "(packed stores: per-segment stats and orphan detection)",
+        help="record count, bytes and format of a --store directory, "
+        "with per-segment stats and orphan detection",
     )
     migrate = store_subparsers.add_parser(
         "migrate",
@@ -763,17 +761,17 @@ def _add_store_parser(
         "reindex",
         parents=[store_options],
         help="rebuild a packed store's SQLite index from its segment files, "
-        "or (with --columns) the columnar analysis sidecars of either backend",
+        "or (with --columns) its columnar analysis sidecars",
     )
     reindex.add_argument(
         "--columns",
         action="store_true",
-        help="rebuild the .cols analysis sidecars (both backends) instead of "
-        "the SQLite index",
+        help="rebuild the .cols analysis sidecars instead of the SQLite index",
     )
 
 
-def _run_store_info_packed(store: PackedResultStore) -> int:
+def _run_store_info(args: argparse.Namespace) -> int:
+    store = open_store(args.store)
     print(f"store: {store.root}")
     print("backend: packed")
     print(f"format: {STORE_FORMAT}")
@@ -804,36 +802,6 @@ def _run_store_info_packed(store: PackedResultStore) -> int:
     return 0
 
 
-def _run_store_info(args: argparse.Namespace) -> int:
-    if is_packed(args.store):
-        return _run_store_info_packed(PackedResultStore(args.store))
-    store = ResultStore(args.store)
-    entries = store.scan()
-    total_bytes = sum(entry.size_bytes for entry in entries)
-    print(f"store: {store.root}")
-    print(f"format: {STORE_FORMAT}")
-    print(f"records: {len(entries)}")
-    print(f"bytes: {total_bytes}")
-    corrupt = store.info().corrupt
-    if corrupt:
-        print(f"corrupt: {corrupt} unreadable record file(s) skipped")
-    for label, field in (
-        ("SOC", "soc_name"),
-        ("solver", "solver"),
-        ("objective", "objective"),
-    ):
-        counts: dict[str, int] = {}
-        for entry in entries:
-            name = getattr(entry, field) or "?"
-            counts[name] = counts.get(name, 0) + 1
-        if counts:
-            breakdown = ", ".join(
-                f"{name}={counts[name]}" for name in sorted(counts)
-            )
-            print(f"by {label}: {breakdown}")
-    return 0
-
-
 def _run_store_migrate(args: argparse.Namespace) -> int:
     report = migrate_store(args.store, destination=args.dest)
     where = "in place" if report.in_place else f"to {report.destination}"
@@ -844,13 +812,18 @@ def _run_store_migrate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_store_compact(args: argparse.Namespace) -> int:
+def _existing_packed_store(args: argparse.Namespace) -> PackedResultStore:
+    """The packed store a maintenance command works on (never created here)."""
     if not is_packed(args.store):
         raise ConfigurationError(
-            f"{args.store} is not a packed store; 'store compact' only applies "
-            "after 'repro store migrate'"
+            f"{args.store} is not a packed store; 'store {args.store_command}' "
+            "only applies after 'repro store migrate'"
         )
-    stats = PackedResultStore(args.store).compact()
+    return PackedResultStore(args.store)
+
+
+def _run_store_compact(args: argparse.Namespace) -> int:
+    stats = _existing_packed_store(args).compact()
     print(f"compacted: {stats.records} live record(s), {stats.orphans_dropped} dropped")
     print(f"segments: {stats.segments_before} -> {stats.segments_after}")
     print(
@@ -861,18 +834,12 @@ def _run_store_compact(args: argparse.Namespace) -> int:
 
 
 def _run_store_reindex(args: argparse.Namespace) -> int:
+    store = _existing_packed_store(args)
     if args.columns:
-        store = open_store(args.store)
         rows = store.reindex_columns()
         print(f"rebuilt columnar sidecars: {rows} row(s)")
         return 0
-    if not is_packed(args.store):
-        raise ConfigurationError(
-            f"{args.store} is not a packed store; 'store reindex' rebuilds the "
-            "SQLite index (use 'store reindex --columns' for the analysis "
-            "sidecars of either backend)"
-        )
-    rows = PackedResultStore(args.store).reindex()
+    rows = store.reindex()
     print(f"reindexed: {rows} record(s)")
     return 0
 

@@ -16,7 +16,7 @@ programmatically:
   outside ``[0, 1]``).
 * :class:`StoreError` -- a persistent result-store record cannot be encoded
   or decoded (unregistered type, malformed payload).  Reads through
-  :class:`repro.store.ResultStore` treat it as a cache miss; it only
+  :class:`repro.store.PackedResultStore` treat it as a cache miss; it only
   surfaces to callers that use the serialisation layer directly.
 """
 

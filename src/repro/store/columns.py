@@ -9,29 +9,21 @@ defines a **columnar sidecar** holding exactly those columns, written at
 ever decoded to build it) and scanned at analysis time instead of the
 record payloads.
 
-Two layouts share one row format:
-
-* **Packed stores** carry one ``seg-<...>.cols`` file per segment file,
-  appended in the same ``put_records`` flush as the segment lines (before
-  the index transaction commits, extending the flush-before-index
-  ordering).  Each line is a JSON array ``[offset, length, *columns]``
-  mirroring one segment line; a **short row** ``[offset, length]`` means
-  "no columns were available at write time -- decode this line instead"
-  (raw ingestion of legacy records takes this path).
-* **Directory stores** carry a single ``analysis.cols`` snapshot at the
-  store root, built only by ``repro store reindex --columns``.  Each line
-  is ``[key, size_bytes, *columns]`` (or the short form ``[key,
-  size_bytes]``); the snapshot is valid only while the ``*.json`` file set
-  it recorded is exactly the one on disk.
+Each packed-store segment file carries one ``seg-<...>.cols`` sidecar,
+appended in the same ``put_records`` flush as the segment lines (before
+the index transaction commits, extending the flush-before-index
+ordering).  Each line is a JSON array ``[offset, length, *columns]``
+mirroring one segment line; a **short row** ``[offset, length]`` means
+"no columns were available at write time -- decode this line instead"
+(raw ingestion of legacy records takes this path).
 
 Sidecars are **derived data with a fail-open contract**: a sidecar that is
 missing, unparseable or *stale* (its rows do not cover the segment byte
-range contiguously / its file map does not match the directory) is ignored
-and the reader falls back to full-record decode.  The segments (or record
-files) remain the source of truth; ``reindex --columns`` rebuilds sidecars
-from them, and in-place byte edits that keep sizes unchanged are the one
-corruption this staleness rule cannot see (the full-decode path, compact
-and reindex all notice).
+range contiguously) is ignored and the reader falls back to full-record
+decode.  The segments remain the source of truth; ``reindex --columns``
+rebuilds sidecars from them, and in-place byte edits that keep sizes
+unchanged are the one corruption this staleness rule cannot see (the
+full-decode path, compact and reindex all notice).
 """
 
 from __future__ import annotations
@@ -44,16 +36,10 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.core.exceptions import ReproError
 from repro.objectives.registry import DEFAULT_OBJECTIVE
-from repro.store.result_store import (
-    RECORD_SUFFIX,
-    STORE_FORMAT,
-    decode_record,
-    record_lower_bound,
-)
+from repro.store.result_store import STORE_FORMAT, decode_record, record_lower_bound
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.optimize.result import TwoStepResult
-    from repro.store.result_store import ResultStore
 
 #: Version of the sidecar layout.  A sidecar written under another format
 #: version is treated as stale (full-decode fallback), never as an error.
@@ -61,9 +47,6 @@ COLUMNS_FORMAT = 1
 
 #: File-name suffix of per-segment sidecars (``seg-<...>.cols``).
 SIDECAR_SUFFIX = ".cols"
-
-#: File name of the directory-backend snapshot sidecar.
-DIR_SIDECAR = "analysis.cols"
 
 #: The column order of every full sidecar row -- exactly the
 #: :class:`~repro.analysis.records.AnalysisRecord` constructor order.
@@ -231,7 +214,7 @@ def encode_segment_entries(entries: Iterable[tuple[int, int, "list | None"]]) ->
 
 
 # ----------------------------------------------------------------------
-# Packed-store sidecars (read path)
+# Read path
 # ----------------------------------------------------------------------
 def read_segment_sidecar(segment_path: Path) -> "list[tuple[int, int, list | None]] | None":
     """Parse and validate one segment's sidecar; ``None`` means fall back.
@@ -397,113 +380,3 @@ def rebuild_segment_sidecar(segment_path: Path) -> int:
         staging.unlink(missing_ok=True)
         raise
     return len(entries)
-
-
-# ----------------------------------------------------------------------
-# Directory-store sidecar (snapshot form)
-# ----------------------------------------------------------------------
-def rebuild_dir_sidecar(store: "ResultStore") -> int:
-    """Build the directory backend's ``analysis.cols`` snapshot; returns rows.
-
-    One entry per ``*.json`` record file: ``[key, size_bytes, *columns]``
-    for records that decode, the short form ``[key, size_bytes]`` for ones
-    that do not (the read path decodes -- and skips -- those itself, so a
-    corrupt file degrades the snapshot's speed, not its validity).
-    """
-    entries: list[list] = []
-    for path in store.record_files():
-        try:
-            size = path.stat().st_size
-        except OSError:
-            continue
-        item: list = [path.stem, size]
-        try:
-            record = json.loads(path.read_text(encoding="utf-8"))
-            result = decode_record(record)
-            item += row_from_decoded(record, result)
-        except (OSError, json.JSONDecodeError, ReproError, KeyError, TypeError, ValueError):
-            pass
-        entries.append(item)
-    payload = bytearray(sidecar_header(backend="dir"))
-    for item in entries:
-        payload += json.dumps(item, separators=(",", ":")).encode("utf-8") + b"\n"
-    target = store.root / DIR_SIDECAR
-    staging = target.with_name(target.name + f".{os.getpid()}.tmp")
-    try:
-        staging.write_bytes(bytes(payload))
-        os.replace(staging, target)
-    except BaseException:
-        staging.unlink(missing_ok=True)
-        raise
-    return len(entries)
-
-
-def read_dir_sidecar(store: "ResultStore") -> "list[tuple] | None":
-    """Column rows from a directory store's snapshot; ``None`` means fall back.
-
-    Staleness rule: the snapshot's ``{key: size_bytes}`` map must equal the
-    store's current ``*.json`` file set exactly -- any record written,
-    evicted or resized since the snapshot invalidates it (the directory
-    backend has no write-path hook, so the snapshot only stays valid on a
-    store that has not changed since ``repro store reindex --columns``).
-    """
-    path = store.root / DIR_SIDECAR
-    try:
-        raw = path.read_bytes()
-    except OSError:
-        return None
-    lines = raw.split(b"\n")
-    if not lines or not lines[0]:
-        return None
-    try:
-        header = json.loads(lines[0])
-    except (UnicodeDecodeError, json.JSONDecodeError):
-        return None
-    if (
-        not isinstance(header, dict)
-        or header.get("format") != COLUMNS_FORMAT
-        or header.get("columns") != list(ANALYSIS_COLUMNS)
-    ):
-        return None
-    entries: dict[str, tuple[int, "list | None"]] = {}
-    for line in lines[1:]:
-        if not line:
-            continue
-        try:
-            item = json.loads(line)
-        except (UnicodeDecodeError, json.JSONDecodeError):
-            return None
-        if (
-            not isinstance(item, list)
-            or len(item) not in (2, 2 + len(ANALYSIS_COLUMNS))
-            or not isinstance(item[0], str)
-            or not isinstance(item[1], int)
-            or isinstance(item[1], bool)
-        ):
-            return None
-        entries[item[0]] = (item[1], item[2:] if len(item) > 2 else None)
-    actual: dict[str, int] = {}
-    for record_path in store.record_files():
-        try:
-            actual[record_path.stem] = record_path.stat().st_size
-        except OSError:
-            return None
-    if {key: size for key, (size, _) in entries.items()} != actual:
-        return None
-    rows: list[tuple] = []
-    for key in sorted(entries):
-        _, row = entries[key]
-        columns = normalize_row(row) if row is not None else None
-        if columns is not None:
-            rows.append(columns)
-            continue
-        record_path = store.root / f"{key}{RECORD_SUFFIX}"
-        try:
-            record = json.loads(record_path.read_text(encoding="utf-8"))
-            if not isinstance(record, dict) or "key" not in record:
-                raise ValueError("not a record")
-            result = decode_record(record)
-            rows.append(tuple(row_from_decoded(record, result)))
-        except (OSError, json.JSONDecodeError, ReproError, KeyError, TypeError, ValueError):
-            continue
-    return rows

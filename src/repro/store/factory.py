@@ -1,27 +1,25 @@
-"""Store factory and migration: one entry point for both store backends.
+"""Store factory and migration: the one way stores are opened.
 
 Everything above the store layer (the engine, the analysis loaders, the
 bench runner, the CLI, the campaign service) opens persistent stores
-through :func:`open_store`, which detects the on-disk layout:
+through :func:`open_store`: an open store passes through, and a directory
+path opens as a :class:`~repro.store.packed.PackedResultStore` (segment
+files + SQLite index).  A fresh or empty directory becomes a new packed
+store; a directory holding legacy one-file-per-record ``*.json`` data is
+rejected with a :class:`~repro.core.exceptions.ConfigurationError` that
+names ``repro store migrate``.
 
-* a directory holding a ``packed.manifest`` opens as a
-  :class:`~repro.store.packed.PackedResultStore` (segment files + SQLite
-  index);
-* anything else opens as the legacy one-file-per-record
-  :class:`~repro.store.result_store.ResultStore` -- including a fresh
-  empty directory, so the default backend (and every existing workflow)
-  is unchanged.
-
-:func:`migrate_store` converts a legacy directory into the packed format,
-verifying every record's digest on the way and preserving the record
-bytes verbatim -- analysis over a migrated store is byte-identical to
-analysis over the original directory.  Migration writes through the
-packed ``put_records`` path, so the new segments get their columnar
-``.cols`` analysis sidecars (:mod:`repro.store.columns`) as they are
-built: full column rows for records carrying a write-time ``analysis``
-block, short decode-at-read rows for older records (``repro store
-reindex --columns`` upgrades those once, by decoding each record a single
-time).
+:func:`migrate_store` is the only reader of that legacy layout.  It
+converts a legacy directory into the packed format, verifying every
+record's digest on the way and preserving the record dicts verbatim --
+analysis over a migrated store is byte-identical to analysis over a
+packed store written directly from the same records.  Migration writes
+through the packed ``put_records`` path, so the new segments get their
+columnar ``.cols`` analysis sidecars (:mod:`repro.store.columns`) as they
+are built: full column rows for records carrying a write-time
+``analysis`` block, short decode-at-read rows for older records (``repro
+store reindex --columns`` upgrades those once, by decoding each record a
+single time).
 """
 
 from __future__ import annotations
@@ -31,12 +29,12 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.core.exceptions import ConfigurationError, StoreError
-from repro.store.packed import PACKED_MANIFEST, PackedResultStore
-from repro.store.result_store import RECORD_SUFFIX, ResultStore, record_key
+from repro.store.packed import PACKED_MANIFEST, PackedResultStore, holds_legacy_records
+from repro.store.result_store import RECORD_SUFFIX, record_key
 
-#: Union type every store consumer works against (duck-typed: ``get``,
-#: ``put``, ``put_record``, ``scan``, ``records``, ``evict``, ``info``).
-AnyStore = "ResultStore | PackedResultStore"
+#: The columnar snapshot a legacy directory may carry; nothing reads it,
+#: so in-place migration removes it with the record files.
+_LEGACY_SNAPSHOT = "analysis.cols"
 
 
 def is_packed(root: str | Path) -> bool:
@@ -44,24 +42,21 @@ def is_packed(root: str | Path) -> bool:
     return (Path(root).expanduser() / PACKED_MANIFEST).is_file()
 
 
-def open_store(store) -> "ResultStore | PackedResultStore":
-    """Open a persistent result store, whatever its backend.
+def open_store(store) -> PackedResultStore:
+    """Open a persistent result store from a directory path or a store.
 
-    Accepts an already-open store object (returned unchanged, so call
-    sites can be handed either a path or a store), or a directory path:
-    packed layouts open packed, everything else opens as the legacy
-    directory backend.
+    An already-open store is returned unchanged (so call sites can be
+    handed either); a path opens as :class:`PackedResultStore`, which
+    initialises a fresh directory and rejects a legacy one.
     """
-    if isinstance(store, (ResultStore, PackedResultStore)):
+    if isinstance(store, PackedResultStore):
         return store
     if not isinstance(store, (str, Path)):
         raise ConfigurationError(
             f"cannot open a store from a {type(store).__name__}; "
             "pass a directory path or a store object"
         )
-    if is_packed(store):
-        return PackedResultStore(store)
-    return ResultStore(store)
+    return PackedResultStore(store)
 
 
 @dataclass(frozen=True)
@@ -70,8 +65,8 @@ class MigrationReport:
 
     ``migrated`` records were verified and packed; ``corrupt`` legacy
     files failed parsing or digest verification and were left behind
-    (in-place migration moves on without them -- exactly the records the
-    legacy read path would have treated as misses anyway).
+    (in-place migration moves on without them -- exactly the records a
+    store reader would have treated as corrupt-record misses anyway).
     """
 
     source: Path
@@ -89,11 +84,12 @@ def migrate_store(
     """Convert a legacy record directory into a packed store.
 
     With ``destination=None`` the migration is **in place**: the packed
-    layout is built inside ``source`` and the legacy record files are
-    removed only after every record has been packed -- a crash mid-way
-    leaves the legacy records intact (the half-built packed layout is
-    rebuilt by rerunning the migration; ``put_records`` supersedes
-    cleanly).  With a destination directory the source is left untouched.
+    layout is built inside ``source`` and the legacy record files (and
+    their obsolete ``analysis.cols`` snapshot) are removed only after
+    every record has been packed -- a crash mid-way leaves the legacy
+    records intact (the half-built packed layout is rebuilt by rerunning
+    the migration; ``put_records`` supersedes cleanly).  With a
+    destination directory the source is left untouched.
 
     Every record is **digest-verified** before packing: the file must
     parse, its recorded ``key`` must be a safe token matching the file
@@ -104,8 +100,9 @@ def migrate_store(
     Raises
     ------
     ConfigurationError
-        When the source is already packed, the destination is a legacy
-        store, or either path is unusable.
+        When the source is already packed, the destination is an unmigrated
+        directory holding legacy records (this includes a destination equal
+        to the source -- migrate that in place), or either path is unusable.
     """
     source = Path(source).expanduser()
     if not source.is_dir():
@@ -114,6 +111,11 @@ def migrate_store(
         raise ConfigurationError(f"store migrate: {source} is already a packed store")
     in_place = destination is None
     destination = source if in_place else Path(destination).expanduser()
+    if not in_place and not is_packed(destination) and holds_legacy_records(destination):
+        raise ConfigurationError(
+            f"store migrate: destination {destination} holds legacy records; "
+            "migrate it in place instead"
+        )
 
     record_paths = sorted(source.glob(f"*{RECORD_SUFFIX}"))
     records: list[dict] = []
@@ -134,8 +136,9 @@ def migrate_store(
         keep_paths.append(path)
 
     # Build the packed layout first and commit the manifest marker last:
-    # until the marker exists the directory still opens as a legacy store,
-    # so a crash mid-migration loses nothing.
+    # until the marker exists the legacy records stay in place and the
+    # directory still asks to be migrated, so a crash mid-migration loses
+    # nothing.
     packed = PackedResultStore(destination, manifest=False)
     try:
         if records:
@@ -150,7 +153,7 @@ def migrate_store(
             )
         packed.write_manifest()
         if in_place:
-            for path in keep_paths:
+            for path in [*keep_paths, source / _LEGACY_SNAPSHOT]:
                 try:
                     path.unlink()
                 except OSError:

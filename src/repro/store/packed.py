@@ -1,15 +1,13 @@
 """Packed result store: append-only segments + a SQLite index.
 
-The directory backend (:class:`~repro.store.result_store.ResultStore`)
-writes one ~27 KB JSON file per record, which is fine for a d695 sweep and
-hopeless for million-scenario campaigns: directory scans dominate, inodes
-run out, and ``store info`` degrades linearly.  :class:`PackedResultStore`
-keeps the exact same record dicts (see
-:func:`~repro.store.result_store.make_record`) but packs them into a small
+:class:`PackedResultStore` is the persistent result store.  It keeps
+:func:`~repro.store.result_store.make_record` dicts packed into a small
 number of **append-only segment files** (one JSON record per line) and
 finds them again through a **SQLite index** keyed by the scenario's
 canonical digest -- lookups are one indexed query plus one ranged read,
-independent of how many records the store holds.
+independent of how many records the store holds, and ``store info`` never
+opens a record.  A directory in the legacy one-file-per-record layout is
+refused; ``repro store migrate`` converts it.
 
 Layout of a packed store directory::
 
@@ -33,9 +31,8 @@ Invariants the format maintains:
   so the index never points at bytes that were not written.
 * **Reads are corruption-tolerant.**  A record whose segment line is
   missing, truncated or fails validation counts as a miss (and as
-  ``corrupt`` in :meth:`info`), never as an error -- exactly like the
-  directory backend.  Such rows are *orphans*; :meth:`orphans` finds them
-  and :meth:`compact` drops them.
+  ``corrupt`` in :meth:`info`), never as an error.  Such rows are
+  *orphans*; :meth:`orphans` finds them and :meth:`compact` drops them.
 * **Eviction is logical.**  :meth:`evict` deletes index rows; dead segment
   bytes are reclaimed by :meth:`compact`, which rewrites all live records
   into one fresh segment.
@@ -46,11 +43,9 @@ Invariants the format maintains:
   decoding the segment when it is missing or stale;
   :meth:`reindex_columns` rebuilds sidecars from the segments.
 
-The class is call-compatible with :class:`ResultStore` (``get``/``put``/
-``put_record``/``scan``/``records``/``evict``/``info``/``__len__``/
-``__contains__``), so the engine, the analysis layer and the campaign
-service use either backend interchangeably -- :func:`repro.store.factory.
-open_store` picks the right one by looking for the manifest.
+The engine, the analysis layer, the bench runner and the campaign service
+all open stores through :func:`repro.store.factory.open_store`, which
+passes an open store through and opens a path as this class.
 """
 
 from __future__ import annotations
@@ -68,6 +63,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator
 from repro.core.exceptions import ConfigurationError, ReproError, StoreError
 from repro.store import columns as columns_module
 from repro.store.result_store import (
+    RECORD_SUFFIX,
     STORE_FORMAT,
     StoreEntry,
     StoreInfo,
@@ -82,7 +78,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.optimize.result import TwoStepResult
 
 #: Manifest file marking a directory as a packed store.  Deliberately not
-#: ``*.json`` so a legacy directory scan never mistakes it for a record.
+#: ``*.json`` so it is never mistaken for a legacy record file.
 PACKED_MANIFEST = "packed.manifest"
 
 #: SQLite index file name.
@@ -111,6 +107,11 @@ CREATE TABLE IF NOT EXISTS records (
     created_at REAL NOT NULL DEFAULT 0.0
 )
 """
+
+
+def holds_legacy_records(root: Path) -> bool:
+    """True when ``root`` holds legacy one-file-per-record ``*.json`` files."""
+    return any(root.glob(f"*{RECORD_SUFFIX}"))
 
 
 @dataclass(frozen=True)
@@ -160,30 +161,32 @@ class PackedResultStore:
     root:
         The packed store directory.  An empty or missing directory is
         initialised as a new packed store; a directory holding legacy
-        one-file-per-record data is rejected (run ``repro store migrate``
-        first), as is anything that is not a directory.
+        one-file-per-record data is rejected before anything is written
+        into it (run ``repro store migrate`` first), as is anything that
+        is not a directory.
     manifest:
         When ``False``, neither check for nor write the ``packed.manifest``
         marker.  Only the migration tool uses this: it builds the packed
         layout first and commits the marker last, so a crashed in-place
-        migration leaves the directory still opening as a legacy store.
+        migration leaves the directory still holding its legacy records.
     """
 
     def __init__(self, root: str | Path, *, manifest: bool = True) -> None:
         self._root = Path(root).expanduser()
         if self._root.exists() and not self._root.is_dir():
             raise ConfigurationError(f"store path {self._root} exists and is not a directory")
+        needs_manifest = manifest and not (self._root / PACKED_MANIFEST).exists()
+        if needs_manifest and holds_legacy_records(self._root):
+            raise ConfigurationError(
+                f"{self._root} holds legacy one-file-per-record data; "
+                "run 'repro store migrate' to convert it to the packed format"
+            )
         try:
             self._root.mkdir(parents=True, exist_ok=True)
             (self._root / SEGMENT_DIR).mkdir(exist_ok=True)
         except OSError as error:
             raise ConfigurationError(f"cannot create store directory {self._root}: {error}") from error
-        if manifest and not (self._root / PACKED_MANIFEST).exists():
-            if any(self._root.glob("*.json")):
-                raise ConfigurationError(
-                    f"{self._root} holds legacy one-file-per-record data; "
-                    "run 'repro store migrate' to convert it to the packed format"
-                )
+        if needs_manifest:
             self.write_manifest()
         self._lock = threading.Lock()
         self._connection: sqlite3.Connection | None = None
@@ -322,9 +325,9 @@ class PackedResultStore:
     def info(self) -> StoreInfo:
         """Hit/miss/put/corruption statistics plus the packed shape.
 
-        Unlike the directory backend this is O(1)-ish in the record count:
-        the size is one indexed ``COUNT(*)`` and the segment count one
-        directory listing -- no record files are opened.
+        O(1)-ish in the record count: the size is one indexed ``COUNT(*)``
+        and the segment count one directory listing -- no record bytes
+        are read.
         """
         with self._lock:
             connection = self._connect()
@@ -397,9 +400,10 @@ class PackedResultStore:
         """Return the stored result for ``scenario``, or ``None`` on a miss.
 
         One indexed lookup plus one ranged segment read -- latency is
-        independent of the store's record count.  Validation matches the
-        directory backend exactly: wrong format, key mismatch or a payload
-        that fails to decode is a corrupt-record miss, never an error.
+        independent of the store's record count.  Validation is
+        :func:`~repro.store.result_store.decode_record`'s: wrong format,
+        key mismatch or a payload that fails to decode is a corrupt-record
+        miss, never an error.
         """
         key = scenario.digest
         with self._lock:
@@ -506,7 +510,7 @@ class PackedResultStore:
             ).fetchall()
 
     def scan(self) -> tuple[StoreEntry, ...]:
-        """List every readable record, sorted by key (like the directory backend).
+        """List every readable record, sorted by key.
 
         Entries point at the record's segment file; ``size_bytes`` is the
         record line's length.  Unreadable rows are skipped and counted as
@@ -526,10 +530,11 @@ class PackedResultStore:
     def records(self) -> "Iterator[tuple[StoreEntry, TwoStepResult]]":
         """Yield every readable ``(entry, result)`` pair, sorted by key.
 
-        The analysis bulk read; identical semantics to
-        :meth:`ResultStore.records <repro.store.result_store.ResultStore.
-        records>` so ``repro analyze`` output over a migrated store is
-        byte-identical to the legacy directory it came from.
+        The bulk read of the analysis reference scan: each segment line
+        is parsed once and yields both the :class:`StoreEntry` metadata and
+        the decoded result.  Unreadable rows are skipped and counted as
+        ``corrupt``, exactly like :meth:`scan`; the record's digest is not
+        re-verified against a scenario here (none is being rebuilt).
         """
         for key, segment, offset, length in self._index_rows():
             try:

@@ -1,6 +1,6 @@
 """JSON codec for optimisation results (frozen dataclasses in, JSON out).
 
-The persistent :class:`~repro.store.result_store.ResultStore` keeps one JSON
+The persistent :class:`~repro.store.packed.PackedResultStore` keeps one JSON
 record per solved scenario.  The record payload is the full
 :class:`~repro.optimize.result.TwoStepResult` graph -- nested frozen
 dataclasses (architectures, channel groups, modules, wrappers, scenarios)
@@ -42,6 +42,9 @@ from repro.core.exceptions import StoreError
 MARKER_KEYS = ("__dataclass__", "__enum__", "__tuple__", "__ref__", "__id__")
 
 _STORABLE: dict[str, type] = {}
+
+#: Exact JSON scalar types, the decoder's most common node (fast path).
+_SCALARS = frozenset({type(None), bool, int, float, str})
 
 
 def register_storable(cls: type) -> type:
@@ -146,12 +149,16 @@ class _Decoder:
 
     def __init__(self) -> None:
         self._table: dict[int, Any] = {}
+        # Registered names already checked to be dataclasses in this pass.
+        self._dataclasses: dict[str, type] = {}
 
     def decode(self, data: Any) -> Any:
-        if data is None or isinstance(data, (bool, int, float, str)):
+        if type(data) in _SCALARS or isinstance(data, (bool, int, float, str)):
             return data
         if not isinstance(data, dict):
             raise StoreError(f"malformed payload node of type {type(data).__name__}")
+        if "__dataclass__" in data:
+            return self._decode_dataclass(data)
         if "__ref__" in data:
             ref = data["__ref__"]
             if ref not in self._table:
@@ -161,7 +168,10 @@ class _Decoder:
             items = data["__tuple__"]
             if not isinstance(items, list):
                 raise StoreError("malformed tuple payload")
-            return tuple(self.decode(item) for item in items)
+            decode = self.decode
+            return tuple(
+                [item if type(item) in _SCALARS else decode(item) for item in items]
+            )
         if "__enum__" in data:
             cls = _STORABLE.get(data["__enum__"])
             if cls is None or not issubclass(cls, Enum):
@@ -170,21 +180,32 @@ class _Decoder:
                 return cls(data["value"])
             except (KeyError, ValueError) as error:
                 raise StoreError(f"invalid enum payload: {error}") from error
-        if "__dataclass__" in data:
-            cls = _STORABLE.get(data["__dataclass__"])
-            if cls is None or not dataclasses.is_dataclass(cls):
-                raise StoreError(f"unknown storable type {data.get('__dataclass__')!r}")
-            fields = data.get("fields")
-            if not isinstance(fields, dict):
-                raise StoreError(f"malformed fields payload for {cls.__name__}")
-            try:
-                obj = cls(**{name: self.decode(value) for name, value in fields.items()})
-            except TypeError as error:
-                raise StoreError(f"cannot rebuild {cls.__name__}: {error}") from error
-            if "__id__" in data:
-                self._table[data["__id__"]] = obj
-            return obj
         raise StoreError(f"malformed payload node with keys {sorted(data)!r}")
+
+    def _decode_dataclass(self, data: dict) -> Any:
+        name = data["__dataclass__"]
+        cls = self._dataclasses.get(name) if isinstance(name, str) else None
+        if cls is None:
+            cls = _STORABLE.get(name) if isinstance(name, str) else None
+            if cls is None or not dataclasses.is_dataclass(cls):
+                raise StoreError(f"unknown storable type {name!r}")
+            self._dataclasses[name] = cls
+        fields = data.get("fields")
+        if not isinstance(fields, dict):
+            raise StoreError(f"malformed fields payload for {cls.__name__}")
+        decode = self.decode
+        try:
+            obj = cls(
+                **{
+                    field: value if type(value) in _SCALARS else decode(value)
+                    for field, value in fields.items()
+                }
+            )
+        except TypeError as error:
+            raise StoreError(f"cannot rebuild {cls.__name__}: {error}") from error
+        if "__id__" in data:
+            self._table[data["__id__"]] = obj
+        return obj
 
 
 def encode_result(obj: Any) -> Any:

@@ -7,6 +7,9 @@ dedicated tests and by the benchmark harness.
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.ate.probe_station import ProbeStation
@@ -97,3 +100,24 @@ def probe() -> ProbeStation:
 def lossy_probe() -> ProbeStation:
     """A probe station with a non-ideal contact yield."""
     return ProbeStation(index_time_s=0.5, contact_test_time_s=0.010, contact_yield=0.999)
+
+
+def write_legacy_records(root: Path, records) -> None:
+    """Write ``make_record`` dicts in the v1 one-file-per-record layout.
+
+    The layout the packed store replaced: ``<root>/<key>.json`` holding one
+    compact JSON record.  The program no longer writes it; migration tests
+    use this as their legacy source.
+    """
+    root = Path(root)
+    root.mkdir(parents=True, exist_ok=True)
+    for record in records:
+        (root / f"{record['key']}.json").write_text(
+            json.dumps(record, separators=(",", ":")) + "\n", encoding="utf-8"
+        )
+
+
+@pytest.fixture
+def write_legacy():
+    """The :func:`write_legacy_records` helper, as a fixture."""
+    return write_legacy_records

@@ -33,7 +33,7 @@ from repro.api.scenario import Scenario
 from repro.api.testcell import reference_test_cell
 from repro.ate.pricing import AtePricing
 from repro.core.exceptions import ConfigurationError
-from repro.store.result_store import ResultStore
+from repro.store.packed import PackedResultStore
 
 
 @pytest.fixture(scope="module")
@@ -85,7 +85,7 @@ class TestRecords:
                 by_axis["test_time", 256].channels_per_site) == (1, 256)
 
     def test_store_roundtrip_matches(self, results, records, tmp_path):
-        store = ResultStore(tmp_path)
+        store = PackedResultStore(tmp_path)
         for outcome in results:
             store.put(outcome.scenario, outcome.result)
         assert records_from_store(store) == records
@@ -100,7 +100,7 @@ class TestRecords:
         assert records_from_jsonl(path) == records
 
     def test_load_records_merges_and_dedups(self, results, records, tmp_path):
-        store = ResultStore(tmp_path / "store")
+        store = PackedResultStore(tmp_path / "store")
         for outcome in results:
             store.put(outcome.scenario, outcome.result)
         path = tmp_path / "sweep.jsonl"

@@ -25,7 +25,7 @@ from repro.bench.runner import sweep_digest
 from repro.core.exceptions import ConfigurationError
 from repro.core.units import kilo_vectors
 from repro.soc.builder import SocBuilder
-from repro.store.result_store import ResultStore
+from repro.store.packed import PackedResultStore
 
 
 @pytest.fixture(scope="module")
@@ -161,7 +161,7 @@ class TestChunkBoundaryResume:
     """A campaign killed mid-chunk resumes recomputing only what's missing."""
 
     def test_interrupt_mid_stream_then_resume(self, grid, tmp_path):
-        store = ResultStore(tmp_path / "store")
+        store = PackedResultStore(tmp_path / "store")
         engine = Engine(store=store)
         stream = engine.run_iter(grid, workers=2, chunk_size=2)
         seen = [next(stream), next(stream), next(stream)]
@@ -177,7 +177,7 @@ class TestChunkBoundaryResume:
         assert info.misses == len(grid) - on_disk
 
     def test_resume_digest_matches_uninterrupted(self, grid, tmp_path):
-        store = ResultStore(tmp_path / "store")
+        store = PackedResultStore(tmp_path / "store")
         stream = Engine(store=store).run_iter(grid, workers=2, chunk_size=3)
         next(stream)
         stream.close()
@@ -188,7 +188,7 @@ class TestChunkBoundaryResume:
 
 class TestFlushing:
     def test_flush_every_batches_store_writes(self, grid, tmp_path):
-        store = ResultStore(tmp_path / "store")
+        store = PackedResultStore(tmp_path / "store")
         engine = Engine(store=store)
         on_disk = []
         for _ in engine.run_iter(grid, flush_every=3):
@@ -203,7 +203,7 @@ class TestFlushing:
             for width in (32, 48)
         ]
         bad = Scenario(soc=tiny_soc, test_cell=tiny_cell, solver="no-such-solver")
-        store = ResultStore(tmp_path / "store")
+        store = PackedResultStore(tmp_path / "store")
         engine = Engine(store=store)
         with pytest.raises(ConfigurationError, match="unknown solver"):
             list(engine.run_iter(good + [bad], flush_every=100))
@@ -222,7 +222,7 @@ class TestFlushing:
         # chunk's results computed before the failure must come back and
         # be persisted before the error re-raises.
         bad = Scenario(soc=tiny_soc, test_cell=tiny_cell).with_channels(1)
-        store = ResultStore(tmp_path / "store")
+        store = PackedResultStore(tmp_path / "store")
         engine = Engine(store=store)
         with pytest.raises(ConfigurationError, match="at least 2 channels"):
             list(engine.run_iter(good + [bad], workers=2, chunk_size=100,
@@ -230,7 +230,7 @@ class TestFlushing:
         assert len(store.scan()) == len(good)
 
     def test_abandoned_stream_flushes_buffer(self, grid, tmp_path):
-        store = ResultStore(tmp_path / "store")
+        store = PackedResultStore(tmp_path / "store")
         engine = Engine(store=store)
         stream = engine.run_iter(grid, flush_every=100)
         next(stream)

@@ -125,7 +125,7 @@ class TestResume:
             consumed.append(record)
             if len(consumed) == 2:
                 break
-        assert len(list(tmp_path.glob("*.json"))) == 2
+        assert len(interrupted.store) == 2
 
         # The rerun serves the finished half from the store and computes
         # only the rest.
@@ -144,7 +144,7 @@ class TestResume:
         engine = Engine(store=tmp_path)
         on_disk = []
         for record in engine.run_iter(grid):
-            on_disk.append(len(list(tmp_path.glob("*.json"))))
+            on_disk.append(len(engine.store))
         assert on_disk == [1, 2, 3, 4]
 
     def test_store_hits_yield_before_any_compute(self, tmp_path, grid):

@@ -112,7 +112,7 @@ class TestArchitectureDoc:
             assert anchor in architecture_text
 
     def test_describes_cache_tiers(self, architecture_text):
-        for anchor in ("canonical_key", "digest", "ResultStore", "evaluate",
+        for anchor in ("canonical_key", "digest", "make_record", "evaluate",
                        "STORE_FORMAT", "register_solver", "register_experiment",
                        "register_storable", "register_catalog_soc",
                        "register_objective"):
@@ -148,7 +148,7 @@ class TestArchitectureDoc:
             assert anchor in architecture_text
 
     def test_describes_columnar_sidecars(self, architecture_text):
-        for anchor in (".cols", "columns.py", "analysis.cols",
+        for anchor in (".cols", "columns.py",
                        "reindex --columns", "flush-before-index",
                        "short row", "AnalysisRecord", "derived data"):
             assert anchor in architecture_text
@@ -161,7 +161,8 @@ class TestReadme:
 
     def test_mentions_bench_and_store(self, readme_text):
         assert "bench" in readme_text
-        assert "ResultStore" in readme_text
+        assert 'Engine(store="~/.cache/repro-store")' in readme_text
+        assert "packed store" in readme_text
 
     def test_distributed_campaign_quickstart(self, readme_text):
         for anchor in ("repro serve", "repro work", "--server",

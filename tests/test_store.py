@@ -1,6 +1,8 @@
-"""Tests for the persistent result store and its Engine integration."""
+"""Tests for the persistent (packed) result store and its Engine integration."""
 
 import json
+import os
+import sqlite3
 import threading
 
 import pytest
@@ -10,8 +12,7 @@ from repro.ate.spec import AteSpec
 from repro.core.exceptions import ConfigurationError
 from repro.core.units import kilo_vectors
 from repro.experiments.registry import get_experiment, render_experiment
-from repro.store import STORE_FORMAT, ResultStore
-from repro.store.result_store import RECORD_SUFFIX
+from repro.store import STORE_FORMAT, PackedResultStore, encode_result, make_record
 
 
 @pytest.fixture(scope="module")
@@ -42,17 +43,39 @@ def scenario(tiny_soc, tiny_cell) -> Scenario:
     return Scenario(soc=tiny_soc, test_cell=tiny_cell)
 
 
+def _segment_path(store):
+    (name,) = store._segment_names()
+    return store._segment_path(name)
+
+
+def _index_line(store, raw: bytes, key: str) -> None:
+    """Append ``raw`` as a segment line and point ``key``'s index row at it.
+
+    Stands in for on-disk damage the store's own writer never produces:
+    a garbled line, or a record sitting under another record's key.
+    """
+    segment = _segment_path(store)
+    with open(segment, "ab") as handle:
+        offset = handle.seek(0, os.SEEK_END)
+        handle.write(raw + b"\n")
+    with sqlite3.connect(store.root / "index.sqlite") as connection:
+        connection.execute(
+            "INSERT OR REPLACE INTO records (key, segment, offset, length) VALUES (?,?,?,?)",
+            (key, segment.name, offset, len(raw)),
+        )
+
+
 class TestResultStoreBasics:
     def test_round_trip(self, tmp_path, scenario):
-        store = ResultStore(tmp_path)
+        store = PackedResultStore(tmp_path)
         computed = Engine().run(scenario).result
         path = store.put(scenario, computed)
-        assert path == store.path_for(scenario)
+        assert path == _segment_path(store)
         assert scenario in store
         assert store.get(scenario) == computed
 
     def test_get_on_empty_store_is_miss(self, tmp_path, scenario):
-        store = ResultStore(tmp_path)
+        store = PackedResultStore(tmp_path)
         assert store.get(scenario) is None
         info = store.info()
         assert (info.hits, info.misses, info.corrupt) == (0, 1, 0)
@@ -60,9 +83,10 @@ class TestResultStoreBasics:
     def test_record_carries_format_and_version(self, tmp_path, scenario):
         from repro import __version__
 
-        store = ResultStore(tmp_path)
-        store.put(scenario, Engine().run(scenario).result)
-        record = json.loads(store.path_for(scenario).read_text())
+        store = PackedResultStore(tmp_path)
+        path = store.put(scenario, Engine().run(scenario).result)
+        (line,) = path.read_text().splitlines()
+        record = json.loads(line)
         assert record["format"] == STORE_FORMAT
         assert record["package_version"] == __version__
         assert record["key"] == scenario.digest
@@ -71,28 +95,28 @@ class TestResultStoreBasics:
 
     def test_store_root_created_and_validated(self, tmp_path):
         root = tmp_path / "deep" / "store"
-        assert ResultStore(root).root == root
+        assert PackedResultStore(root).root == root
         assert root.is_dir()
         not_a_dir = tmp_path / "file"
         not_a_dir.write_text("x")
         with pytest.raises(ConfigurationError):
-            ResultStore(not_a_dir)
+            PackedResultStore(not_a_dir)
 
     def test_uncreatable_root_raises_configuration_error(self):
         with pytest.raises(ConfigurationError):
-            ResultStore("/proc/no-such-dir/store")
+            PackedResultStore("/proc/no-such-dir/store")
 
     def test_evict_never_leaves_the_store_directory(self, tmp_path, scenario):
         victim = tmp_path / "victim.json"
         victim.write_text("{}")
-        store = ResultStore(tmp_path / "store")
+        store = PackedResultStore(tmp_path / "store")
         store.put(scenario, Engine().run(scenario).result)
         assert store.evict(["../victim", "a/b", ".."]) == 0
         assert victim.exists()
         assert len(store) == 1
 
     def test_scan_and_evict(self, tmp_path, scenario):
-        store = ResultStore(tmp_path)
+        store = PackedResultStore(tmp_path)
         result = Engine().run(scenario).result
         store.put(scenario, result)
         store.put(scenario.with_solver("restart"),
@@ -110,70 +134,69 @@ class TestResultStoreBasics:
 
 
 class TestCorruptionTolerance:
+    """A damaged segment line reads as a corrupt-record miss, never an error."""
+
     def _seed(self, tmp_path, scenario):
-        store = ResultStore(tmp_path)
-        store.put(scenario, Engine().run(scenario).result)
-        return store
+        store = PackedResultStore(tmp_path)
+        record = make_record(scenario, Engine().run(scenario).result)
+        store.put_record(record)
+        return store, json.loads(json.dumps(record))
+
+    def _assert_corrupt_miss(self, store, scenario):
+        assert store.get(scenario) is None
+        info = store.info()
+        assert (info.hits, info.misses, info.corrupt) == (0, 1, 1)
+
+    def _index_record(self, store, record, key):
+        _index_line(store, json.dumps(record, separators=(",", ":")).encode(), key)
 
     def test_truncated_record_is_miss(self, tmp_path, scenario):
-        store = self._seed(tmp_path, scenario)
-        path = store.path_for(scenario)
-        path.write_text(path.read_text()[: len(path.read_text()) // 2])
-        assert store.get(scenario) is None
-        assert store.info().corrupt == 1
+        store, _ = self._seed(tmp_path, scenario)
+        segment = _segment_path(store)
+        raw = segment.read_bytes()
+        segment.write_bytes(raw[: len(raw) // 2])
+        self._assert_corrupt_miss(store, scenario)
 
     def test_non_json_record_is_miss(self, tmp_path, scenario):
-        store = self._seed(tmp_path, scenario)
-        store.path_for(scenario).write_text("not json at all")
-        assert store.get(scenario) is None
+        store, _ = self._seed(tmp_path, scenario)
+        _index_line(store, b"not json at all", scenario.digest)
+        self._assert_corrupt_miss(store, scenario)
 
     def test_key_mismatch_is_miss(self, tmp_path, scenario):
-        """A record moved to another scenario's file name must not hit."""
-        store = self._seed(tmp_path, scenario)
+        """A record indexed under another scenario's digest must not hit."""
+        store, record = self._seed(tmp_path, scenario)
         other = scenario.with_solver("restart")
-        store.path_for(scenario).rename(store.path_for(other))
-        assert store.get(other) is None
-        assert store.info().corrupt == 1
+        self._index_record(store, record, other.digest)
+        self._assert_corrupt_miss(store, other)
 
     def test_tampered_key_field_is_miss(self, tmp_path, scenario):
-        store = self._seed(tmp_path, scenario)
-        path = store.path_for(scenario)
-        record = json.loads(path.read_text())
+        store, record = self._seed(tmp_path, scenario)
         record["key"] = "0" * 64
-        path.write_text(json.dumps(record))
-        assert store.get(scenario) is None
+        self._index_record(store, record, scenario.digest)
+        self._assert_corrupt_miss(store, scenario)
 
     def test_future_format_is_miss(self, tmp_path, scenario):
-        store = self._seed(tmp_path, scenario)
-        path = store.path_for(scenario)
-        record = json.loads(path.read_text())
+        store, record = self._seed(tmp_path, scenario)
         record["format"] = STORE_FORMAT + 1
-        path.write_text(json.dumps(record))
-        assert store.get(scenario) is None
+        self._index_record(store, record, scenario.digest)
+        self._assert_corrupt_miss(store, scenario)
 
     def test_tampered_payload_is_miss(self, tmp_path, scenario):
-        store = self._seed(tmp_path, scenario)
-        path = store.path_for(scenario)
-        record = json.loads(path.read_text())
+        store, record = self._seed(tmp_path, scenario)
         record["result"]["fields"]["points"] = {"__tuple__": [{"__ref__": 999}]}
-        path.write_text(json.dumps(record))
-        assert store.get(scenario) is None
+        self._index_record(store, record, scenario.digest)
+        self._assert_corrupt_miss(store, scenario)
 
     def test_wrong_payload_type_is_miss(self, tmp_path, scenario):
         """A record whose payload is not a TwoStepResult must not hit."""
-        store = self._seed(tmp_path, scenario)
-        path = store.path_for(scenario)
-        record = json.loads(path.read_text())
-        from repro.store import encode_result
-
+        store, record = self._seed(tmp_path, scenario)
         record["result"] = encode_result(scenario.test_cell.ate)
-        path.write_text(json.dumps(record))
-        assert store.get(scenario) is None
-        assert store.info().corrupt == 1
+        self._index_record(store, record, scenario.digest)
+        self._assert_corrupt_miss(store, scenario)
 
     def test_scan_skips_corrupt_files(self, tmp_path, scenario):
-        store = self._seed(tmp_path, scenario)
-        (tmp_path / f"garbage{RECORD_SUFFIX}").write_text("{broken")
+        store, _ = self._seed(tmp_path, scenario)
+        _index_line(store, b"{broken", "garbage")
         entries = store.scan()
         assert len(entries) == 1
         assert store.info().corrupt == 1
@@ -181,12 +204,12 @@ class TestCorruptionTolerance:
 
 class TestEngineStoreTier:
     def test_second_engine_hits_store(self, tmp_path, scenario):
-        first = Engine(store=ResultStore(tmp_path))
+        first = Engine(store=PackedResultStore(tmp_path))
         outcome = first.run(scenario)
         assert first.cache_info().misses == 1
         assert first.cache_info().store_hits == 0
 
-        second = Engine(store=ResultStore(tmp_path))
+        second = Engine(store=PackedResultStore(tmp_path))
         replayed = second.run(scenario)
         info = second.cache_info()
         assert (info.hits, info.misses, info.store_hits) == (0, 0, 1)
@@ -211,12 +234,12 @@ class TestEngineStoreTier:
         assert (info.hits, info.misses, info.store_hits) == (1, 1, 0)
 
     def test_store_serves_across_solver_axis(self, tmp_path, scenario):
-        engine = Engine(store=ResultStore(tmp_path))
+        engine = Engine(store=PackedResultStore(tmp_path))
         engine.run(scenario)
         engine.run(scenario.with_solver("restart"))
         # Two solver-distinct records, no false sharing.
         assert len(engine.store) == 2
-        warm = Engine(store=ResultStore(tmp_path))
+        warm = Engine(store=PackedResultStore(tmp_path))
         a = warm.run(scenario)
         b = warm.run(scenario.with_solver("restart"))
         assert warm.cache_info().store_hits == 2
@@ -224,12 +247,12 @@ class TestEngineStoreTier:
 
     def test_run_batch_uses_and_fills_store(self, tmp_path, scenario, tiny_cell, tiny_soc):
         grid = Scenario.sweep(tiny_soc, tiny_cell, channels=[32, 48, 64])
-        cold = Engine(store=ResultStore(tmp_path))
+        cold = Engine(store=PackedResultStore(tmp_path))
         cold_results = cold.run_batch(grid, workers=2)
         assert len(cold.store) == len(grid)
         assert cold.cache_info().store_hits == 0
 
-        warm = Engine(store=ResultStore(tmp_path))
+        warm = Engine(store=PackedResultStore(tmp_path))
         warm_results = warm.run_batch(grid, workers=2)
         info = warm.cache_info()
         assert info.store_hits == len(grid)
@@ -239,14 +262,14 @@ class TestEngineStoreTier:
     def test_batch_results_identical_with_and_without_store(self, tmp_path, tiny_soc, tiny_cell):
         grid = Scenario.sweep(tiny_soc, tiny_cell, channels=[32, 64])
         plain = Engine().run_batch(grid)
-        stored = Engine(store=ResultStore(tmp_path)).run_batch(grid)
-        rewarmed = Engine(store=ResultStore(tmp_path)).run_batch(grid)
+        stored = Engine(store=PackedResultStore(tmp_path)).run_batch(grid)
+        rewarmed = Engine(store=PackedResultStore(tmp_path)).run_batch(grid)
         assert [r.result for r in plain] == [r.result for r in stored]
         assert [r.result for r in plain] == [r.result for r in rewarmed]
 
     def test_failing_store_write_does_not_lose_the_result(self, tmp_path, scenario, monkeypatch):
         """A dying disk mid-run degrades to memory-only caching, not a crash."""
-        store = ResultStore(tmp_path)
+        store = PackedResultStore(tmp_path)
         monkeypatch.setattr(
             store, "put", lambda *a, **k: (_ for _ in ()).throw(OSError("disk full"))
         )
@@ -265,7 +288,7 @@ class TestEngineStoreTier:
         assert "error:" in capsys.readouterr().err
 
     def test_clear_cache_keeps_store_records(self, tmp_path, scenario):
-        engine = Engine(store=ResultStore(tmp_path))
+        engine = Engine(store=PackedResultStore(tmp_path))
         engine.run(scenario)
         engine.clear_cache()
         assert engine.cache_info() == type(engine.cache_info())(
@@ -280,7 +303,7 @@ class TestConcurrentWrites:
     def test_parallel_puts_of_same_record_stay_readable(self, tmp_path, scenario):
         """Concurrent writers must never expose a torn record to readers."""
         result = Engine().run(scenario).result
-        store = ResultStore(tmp_path)
+        store = PackedResultStore(tmp_path)
         errors: list[Exception] = []
 
         def hammer() -> None:
@@ -302,7 +325,7 @@ class TestConcurrentWrites:
 
     def test_concurrent_batches_share_one_directory(self, tmp_path, tiny_soc, tiny_cell):
         grid = Scenario.sweep(tiny_soc, tiny_cell, channels=[32, 48, 64])
-        engines = [Engine(store=ResultStore(tmp_path)) for _ in range(4)]
+        engines = [Engine(store=PackedResultStore(tmp_path)) for _ in range(4)]
         outcomes: dict[int, tuple] = {}
 
         def run(index: int) -> None:
@@ -316,7 +339,7 @@ class TestConcurrentWrites:
         reference = [r.result for r in outcomes[0]]
         for index in range(1, len(engines)):
             assert [r.result for r in outcomes[index]] == reference
-        assert len(ResultStore(tmp_path)) == len(grid)
+        assert len(PackedResultStore(tmp_path)) == len(grid)
 
 
 class TestReportByteIdentity:
@@ -326,7 +349,7 @@ class TestReportByteIdentity:
         experiment = get_experiment("economics")
         baseline = render_experiment("economics", experiment.run(Engine()))
 
-        store = ResultStore(tmp_path / "store")
+        store = PackedResultStore(tmp_path / "store")
         cold = render_experiment("economics", experiment.run(Engine(store=store)))
         warm_engine = Engine(store=store)
         warm = render_experiment("economics", experiment.run(warm_engine))

@@ -22,7 +22,7 @@ from repro.core.exceptions import ConfigurationError
 from repro.store import columns
 from repro.store.factory import migrate_store, open_store
 from repro.store.packed import PackedResultStore
-from repro.store.result_store import ResultStore, make_record, record_lower_bound
+from repro.store.result_store import make_record, record_lower_bound
 
 
 @pytest.fixture(scope="module")
@@ -202,11 +202,10 @@ class TestReindexAndCompact:
         assert records_from_store(store) == reference
         _assert_paths_identical(store)
 
-    def test_migrated_store_has_sidecars_and_parity(self, tmp_path, records):
+    def test_migrated_store_has_sidecars_and_parity(self, tmp_path, records, write_legacy):
+        reference = records_from_store(_packed(tmp_path, records), columns=False)
         legacy_dir = tmp_path / "legacy"
-        legacy = ResultStore(legacy_dir)
-        legacy.put_records(records)
-        reference = records_from_store(legacy, columns=False)
+        write_legacy(legacy_dir, records)
         report = migrate_store(legacy_dir)
         assert report.migrated == len(records)
         packed = open_store(legacy_dir)
@@ -214,29 +213,6 @@ class TestReindexAndCompact:
         assert _sidecars(packed)
         assert records_from_store(packed) == reference
         _assert_paths_identical(packed)
-
-
-class TestDirectoryBackend:
-    def test_reindex_builds_snapshot_used_by_analysis(self, tmp_path, records):
-        store = ResultStore(tmp_path / "plain")
-        store.put_records(records)
-        assert columns.read_dir_sidecar(store) is None  # no snapshot yet
-        reference = records_from_store(store, columns=False)
-        assert store.reindex_columns() == len(records)
-        rows = columns.read_dir_sidecar(store)
-        assert rows is not None and len(rows) == len(records)
-        assert records_from_store(store) == reference
-
-    def test_any_file_change_invalidates_snapshot(self, tmp_path, records):
-        store = ResultStore(tmp_path / "plain")
-        store.put_records(records[:3])
-        store.reindex_columns()
-        assert columns.read_dir_sidecar(store) is not None
-        store.put_records([records[3]])  # snapshot no longer matches the glob
-        assert columns.read_dir_sidecar(store) is None
-        loaded = records_from_store(store)  # falls back, sees all 4
-        assert loaded == records_from_store(store, columns=False)
-        assert len(loaded) == 4
 
 
 class TestParallelScan:
@@ -297,23 +273,27 @@ class TestLowerBoundPersistence:
 
 
 class TestCli:
-    def test_store_reindex_columns_both_backends(self, tmp_path, records, capsys):
+    def test_store_reindex_columns_packed_only(self, tmp_path, records, write_legacy, capsys):
         from repro.cli import main
 
-        plain = ResultStore(tmp_path / "plain")
-        plain.put_records(records)
-        assert main(["store", "reindex", "--store", str(plain.root), "--columns"]) == 0
-        assert f"rebuilt columnar sidecars: {len(records)} row(s)" in capsys.readouterr().out
         packed = _packed(tmp_path, records)
         assert main(["store", "reindex", "--store", str(packed.root), "--columns"]) == 0
-        assert "rebuilt columnar sidecars" in capsys.readouterr().out
+        assert f"rebuilt columnar sidecars: {len(records)} row(s)" in capsys.readouterr().out
+        legacy = tmp_path / "legacy"
+        write_legacy(legacy, records)
+        before = sorted(legacy.iterdir())
+        assert main(["store", "reindex", "--store", str(legacy), "--columns"]) != 0
+        assert "repro store migrate" in capsys.readouterr().err
+        assert sorted(legacy.iterdir()) == before
 
-    def test_store_reindex_without_columns_needs_packed(self, tmp_path, records, capsys):
+    def test_store_reindex_without_columns_needs_packed(
+        self, tmp_path, records, write_legacy, capsys
+    ):
         from repro.cli import main
 
-        plain = ResultStore(tmp_path / "plain")
-        plain.put_records(records)
-        assert main(["store", "reindex", "--store", str(plain.root)]) != 0
+        legacy = tmp_path / "legacy"
+        write_legacy(legacy, records)
+        assert main(["store", "reindex", "--store", str(legacy)]) != 0
         assert "packed" in capsys.readouterr().err
         packed = _packed(tmp_path, records)
         assert main(["store", "reindex", "--store", str(packed.root)]) == 0

@@ -10,10 +10,10 @@ from repro.ate.spec import AteSpec
 from repro.cli import main
 from repro.core.exceptions import ConfigurationError, StoreError
 from repro.core.units import kilo_vectors
+from repro.service.server import start_server
 from repro.store import (
     PACKED_MANIFEST,
     PackedResultStore,
-    ResultStore,
     is_packed,
     make_record,
     migrate_store,
@@ -44,6 +44,20 @@ def solved():
         scenario = Scenario(soc=soc, test_cell=cell)
         outcomes.append((scenario, engine.run(scenario).result))
     return outcomes
+
+
+@pytest.fixture(scope="module")
+def solved_records(solved):
+    """The ``make_record`` dicts of :func:`solved`."""
+    return [make_record(scenario, result) for scenario, result in solved]
+
+
+def _snapshot(root):
+    """Every path under ``root`` with its bytes (``None`` for directories)."""
+    return {
+        path.relative_to(root): (path.read_bytes() if path.is_file() else None)
+        for path in sorted(root.rglob("*"))
+    }
 
 
 class TestPackedRoundTrip:
@@ -85,12 +99,14 @@ class TestPackedRoundTrip:
         assert keys == sorted(keys)
         assert [entry.key for entry, _ in store.records()] == keys
 
-    def test_rejects_legacy_directory(self, tmp_path, solved):
-        legacy = ResultStore(tmp_path / "legacy")
-        scenario, result = solved[0]
-        legacy.put(scenario, result)
+    def test_rejects_legacy_directory(self, tmp_path, solved_records, write_legacy):
+        root = tmp_path / "legacy"
+        write_legacy(root, solved_records)
+        before = _snapshot(root)
         with pytest.raises(ConfigurationError, match="store migrate"):
-            PackedResultStore(tmp_path / "legacy")
+            PackedResultStore(root)
+        # Rejected before anything was created: no stray segments/ or index.
+        assert _snapshot(root) == before
 
     def test_rejects_path_escaping_record_key(self, tmp_path):
         store = PackedResultStore(tmp_path / "packed")
@@ -127,15 +143,16 @@ class TestPackedRoundTrip:
 
 
 class TestMigration:
-    def fill_legacy(self, root, solved):
-        legacy = ResultStore(root)
-        for scenario, result in solved:
-            legacy.put(scenario, result)
-        return legacy
+    @pytest.fixture
+    def fill_legacy(self, solved_records, write_legacy):
+        return lambda root: write_legacy(root, solved_records)
 
-    def test_in_place_migration_preserves_everything(self, tmp_path, solved):
+    def test_in_place_migration_preserves_everything(
+        self, tmp_path, solved, solved_records, fill_legacy
+    ):
         root = tmp_path / "store"
-        self.fill_legacy(root, solved)
+        fill_legacy(root)
+        (root / "analysis.cols").write_text("{}\n")  # obsolete legacy snapshot
         before = {s.digest: r for s, r in solved}
         report = migrate_store(root)
         assert report.in_place
@@ -143,15 +160,19 @@ class TestMigration:
         assert report.corrupt == 0
         assert is_packed(root)
         assert not list(root.glob("*.json"))  # legacy files gone
+        assert not (root / "analysis.cols").exists()
         packed = open_store(root)
         assert isinstance(packed, PackedResultStore)
         for scenario, result in solved:
             assert packed.get(scenario) == result
         assert {e.key for e in packed.scan()} == set(before)
+        # Records are carried over verbatim, not re-encoded.
+        migrated = [packed._read_row(*row) for row in packed._index_rows()]
+        assert migrated == sorted(solved_records, key=lambda record: record["key"])
 
-    def test_migration_to_destination_keeps_source(self, tmp_path, solved):
+    def test_migration_to_destination_keeps_source(self, tmp_path, solved, fill_legacy):
         source = tmp_path / "legacy"
-        self.fill_legacy(source, solved)
+        fill_legacy(source)
         destination = tmp_path / "packed"
         report = migrate_store(source, destination=destination)
         assert not report.in_place
@@ -159,9 +180,26 @@ class TestMigration:
         assert is_packed(destination)
         assert len(open_store(destination)) == len(solved)
 
-    def test_migration_skips_corrupt_records(self, tmp_path, solved):
+    def test_migration_refuses_a_legacy_destination(
+        self, tmp_path, solved_records, write_legacy, fill_legacy
+    ):
+        source = tmp_path / "legacy"
+        fill_legacy(source)
+        destination = tmp_path / "other"
+        write_legacy(destination, solved_records[:1])
+        before = _snapshot(destination)
+        with pytest.raises(ConfigurationError, match="holds legacy records"):
+            migrate_store(source, destination=destination)
+        assert _snapshot(destination) == before
+        # --dest equal to the source is the same mistake: migrate in place.
+        source_before = _snapshot(source)
+        with pytest.raises(ConfigurationError, match="in place"):
+            migrate_store(source, destination=source)
+        assert _snapshot(source) == source_before
+
+    def test_migration_skips_corrupt_records(self, tmp_path, solved, fill_legacy):
         root = tmp_path / "store"
-        self.fill_legacy(root, solved)
+        fill_legacy(root)
         (root / ("0" * 64 + ".json")).write_text("{not json")
         report = migrate_store(root)
         assert report.migrated == len(solved)
@@ -169,26 +207,30 @@ class TestMigration:
         # The corrupt file is left behind for inspection, not deleted.
         assert (root / ("0" * 64 + ".json")).exists()
 
-    def test_migrating_a_packed_store_is_rejected(self, tmp_path, solved):
+    def test_migrating_a_packed_store_is_rejected(self, tmp_path, fill_legacy):
         root = tmp_path / "store"
-        self.fill_legacy(root, solved)
+        fill_legacy(root)
         migrate_store(root)
         with pytest.raises(ConfigurationError, match="already"):
             migrate_store(root)
 
-    def test_analyze_is_byte_identical_across_migration(self, tmp_path, solved, capsys):
+    def test_analyze_is_byte_identical_across_migration(
+        self, tmp_path, solved_records, fill_legacy, capsys
+    ):
+        """A migrated store analyses exactly like one written packed directly."""
+        direct = tmp_path / "direct"
+        PackedResultStore(direct).put_records(solved_records)
+        assert main(["analyze", "--store", str(direct)]) == 0
+        expected = capsys.readouterr().out
         root = tmp_path / "store"
-        self.fill_legacy(root, solved)
-        assert main(["analyze", "--store", str(root)]) == 0
-        before = capsys.readouterr().out
+        fill_legacy(root)
         migrate_store(root)
         assert main(["analyze", "--store", str(root)]) == 0
-        after = capsys.readouterr().out
-        assert after == before
+        assert capsys.readouterr().out == expected
 
-    def test_engine_store_hits_after_migration(self, tmp_path, solved):
+    def test_engine_store_hits_after_migration(self, tmp_path, solved, fill_legacy):
         root = tmp_path / "store"
-        self.fill_legacy(root, solved)
+        fill_legacy(root)
         migrate_store(root)
         engine = Engine(store=str(root))
         for scenario, result in solved:
@@ -199,30 +241,82 @@ class TestMigration:
 
 
 class TestOpenStore:
-    def test_detects_backends(self, tmp_path, solved):
-        legacy_root = tmp_path / "legacy"
+    def test_detects_backends(self, tmp_path, solved, solved_records, write_legacy):
+        """Fresh and packed directories open packed; legacy ones ask to migrate."""
+        fresh = tmp_path / "fresh"
+        assert isinstance(open_store(fresh), PackedResultStore)
+        assert is_packed(fresh)
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        assert isinstance(open_store(empty), PackedResultStore)
+        assert is_packed(empty)
         scenario, result = solved[0]
-        ResultStore(legacy_root).put(scenario, result)
-        assert isinstance(open_store(legacy_root), ResultStore)
         packed_root = tmp_path / "packed"
         PackedResultStore(packed_root).put(scenario, result)
-        assert isinstance(open_store(packed_root), PackedResultStore)
+        assert open_store(packed_root).get(scenario) == result
+        legacy_root = tmp_path / "legacy"
+        write_legacy(legacy_root, solved_records)
+        before = _snapshot(legacy_root)
+        with pytest.raises(ConfigurationError, match="repro store migrate"):
+            open_store(legacy_root)
+        assert _snapshot(legacy_root) == before
 
     def test_passes_instances_through(self, tmp_path):
-        legacy = ResultStore(tmp_path / "legacy")
         packed = PackedResultStore(tmp_path / "packed")
-        assert open_store(legacy) is legacy
         assert open_store(packed) is packed
+        with pytest.raises(ConfigurationError, match="directory path"):
+            open_store(42)
 
-    def test_missing_keys_parity_between_backends(self, tmp_path, solved):
+    def test_missing_keys_parity_between_backends(
+        self, tmp_path, solved, solved_records, write_legacy
+    ):
+        """A store written packed and one migrated from the legacy layout agree."""
         scenario, result = solved[0]
         absent = "f" * 64
-        for root, cls in ((tmp_path / "legacy", ResultStore), (tmp_path / "packed", PackedResultStore)):
-            store = cls(root)
-            store.put(scenario, result)
+        direct = tmp_path / "packed"
+        PackedResultStore(direct).put(scenario, result)
+        migrated = tmp_path / "legacy"
+        write_legacy(migrated, solved_records[:1])
+        migrate_store(migrated)
+        for root in (direct, migrated):
+            store = open_store(root)
             assert store.contains_key(scenario.digest)
             assert not store.contains_key(absent)
             assert store.missing_keys([scenario.digest, absent, absent]) == (absent,)
+
+    def test_engine_and_server_reject_a_legacy_directory(
+        self, tmp_path, solved_records, write_legacy
+    ):
+        root = tmp_path / "legacy"
+        write_legacy(root, solved_records)
+        before = _snapshot(root)
+        with pytest.raises(ConfigurationError, match="repro store migrate"):
+            Engine(store=root)
+        with pytest.raises(ConfigurationError, match="repro store migrate"):
+            start_server(root)
+        assert _snapshot(root) == before
+
+    @pytest.mark.parametrize(
+        "command",
+        [["analyze"], ["store", "info"], ["serve", "--port", "0", "--quiet"],
+         ["sweep", "synthetic:7:4", "--channels", "48", "--depth-m", "1"]],
+        ids=["analyze", "store-info", "serve", "sweep"],
+    )
+    def test_cli_rejects_a_legacy_directory(
+        self, tmp_path, solved_records, write_legacy, capsys, command
+    ):
+        root = tmp_path / "legacy"
+        write_legacy(root, solved_records)
+        before = _snapshot(root)
+        assert main([*command, "--store", str(root)]) == 1
+        assert "repro store migrate" in capsys.readouterr().err
+        assert _snapshot(root) == before
+
+    def test_store_info_initialises_a_fresh_directory(self, tmp_path, capsys):
+        root = tmp_path / "fresh"
+        assert main(["store", "info", "--store", str(root)]) == 0
+        assert "records: 0" in capsys.readouterr().out
+        assert is_packed(root)
 
 
 class TestPackedScale:
@@ -301,21 +395,22 @@ class TestStoreCli:
         assert main(["store", "info", "--store", str(root)]) == 0
         assert "orphaned: 1" in capsys.readouterr().out
 
-    def test_store_migrate_and_compact_cli(self, tmp_path, solved, capsys):
+    def test_store_migrate_and_compact_cli(
+        self, tmp_path, solved, solved_records, write_legacy, capsys
+    ):
         root = tmp_path / "store"
-        legacy = ResultStore(root)
-        for scenario, result in solved:
-            legacy.put(scenario, result)
+        write_legacy(root, solved_records)
         assert main(["store", "migrate", "--store", str(root)]) == 0
         out = capsys.readouterr().out
         assert f"migrated {root} in place: {len(solved)} record(s)" in out
         assert main(["store", "compact", "--store", str(root)]) == 0
         assert "compacted:" in capsys.readouterr().out
 
-    def test_store_compact_rejects_legacy_store(self, tmp_path, solved, capsys):
+    def test_store_compact_rejects_legacy_store(
+        self, tmp_path, solved_records, write_legacy, capsys
+    ):
         root = tmp_path / "store"
-        scenario, result = solved[0]
-        ResultStore(root).put(scenario, result)
+        write_legacy(root, solved_records)
         assert main(["store", "compact", "--store", str(root)]) == 1
         assert "not a packed store" in capsys.readouterr().err
 
@@ -326,8 +421,8 @@ class TestStoreCli:
                 str(tmp_path / "out.jsonl")]
         assert main(["store", "migrate", "--store", str(root)]) == 1  # nothing to migrate yet
         capsys.readouterr()
-        PackedResultStore(root)  # initialise an empty packed store
-        assert main(args) == 0
+        assert main(args) == 0  # a fresh directory becomes a packed store
+        assert is_packed(root)
         first = capsys.readouterr().out
         assert "2 computed, 0 from store" in first
         assert main(args) == 0
