@@ -16,31 +16,34 @@ from conftest import run_once
 
 
 def test_resumed_campaign_at_least_2x_faster(benchmark, tmp_path):
-    record = run_once(benchmark, run_campaign, tmp_path)
-    benchmark.extra_info.update(record)
+    rows, checks = run_once(benchmark, run_campaign, tmp_path)
+    cold, interrupted, resume = rows
+    assert [row["name"] for row in rows] == [
+        "campaign cold", "campaign interrupted", "campaign resume",
+    ]
+    benchmark.extra_info.update({row["name"]: row["seconds"] for row in rows})
 
-    grid = campaign_grid()
-    assert record["scenarios"] == len(grid)
+    scenarios = len(campaign_grid())
+    assert cold["ops"] == resume["ops"] == scenarios
     # The interruption left exactly the consumed prefix in the store ...
-    assert 0 < record["interrupted_after"] < record["scenarios"]
-    assert record["resume_store_hits"] == record["interrupted_after"]
+    assert 0 < interrupted["ops"] < scenarios
+    assert resume["counters"]["cache"]["store_hits"] == interrupted["ops"]
     # ... so the resume recomputed only the abandoned remainder ...
-    assert record["resume_recomputed"] == (
-        record["scenarios"] - record["interrupted_after"]
-    )
+    assert resume["counters"]["cache"]["misses"] == scenarios - interrupted["ops"]
     # ... reproduced the cold results bit-identically ...
-    assert record["digests_match"], (
-        f"cold digest {record['cold_digest']} != resumed {record['resumed_digest']}"
+    assert checks == {"campaign digests": True}, (
+        f"cold digest {cold['digest']} != resumed {resume['digest']}"
     )
     # ... and at least halved the wall clock.
-    assert record["speedup"] >= 2.0, (
-        f"resume speedup {record['speedup']:.2f}x below the 2x floor "
-        f"(cold {record['cold_seconds']:.3f}s, resume {record['resume_seconds']:.3f}s)"
+    speedup = cold["seconds"] / resume["seconds"] if resume["seconds"] > 0 else float("inf")
+    assert speedup >= 2.0, (
+        f"resume speedup {speedup:.2f}x below the 2x floor "
+        f"(cold {cold['seconds']:.3f}s, resume {resume['seconds']:.3f}s)"
     )
     print(
-        f"\ncampaign: {record['scenarios']} scenarios, interrupted after "
-        f"{record['interrupted_after']}; cold {record['cold_seconds']:.3f}s, "
-        f"resume {record['resume_seconds']:.3f}s ({record['speedup']:.1f}x)"
+        f"\ncampaign: {scenarios} scenarios, interrupted after "
+        f"{interrupted['ops']}; cold {cold['seconds']:.3f}s, "
+        f"resume {resume['seconds']:.3f}s ({speedup:.1f}x)"
     )
 
 

@@ -151,9 +151,11 @@ def records_from_store(
 ) -> tuple[AnalysisRecord, ...]:
     """Scan a persistent result store into analysis records.
 
-    Accepts a store object or the path of one (see
-    :func:`repro.store.open_store`).  Corrupt records are skipped, exactly
-    as the store's own readers do.
+    Accepts a store object or the path of an existing one (see
+    :func:`repro.store.open_store`; a path that is not a packed store is a
+    :class:`~repro.core.exceptions.ConfigurationError`, never a new empty
+    store).  Corrupt records are skipped, exactly as the store's own
+    readers do.
 
     With ``columns`` (the default) the scan reads the store's columnar
     sidecars where they are valid and decodes record payloads only where
@@ -163,7 +165,7 @@ def records_from_store(
     scan instead.  ``progress`` receives one stderr-style line per scanned
     segment / decode batch.
     """
-    store = open_store(store)
+    store = open_store(store, create=False)
     if columns:
         return _finalize(_column_rows(store, workers=workers, progress=progress))
     return _finalize(_decoded_rows(store, progress=progress))

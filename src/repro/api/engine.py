@@ -44,7 +44,7 @@ from typing import Any, Callable, Iterable, Iterator, Sequence
 from repro.api.plan import AUTO_CHUNK, SweepPlan, normalize_chunk_size
 from repro.api.scenario import Scenario, cached_digest
 from repro.api.testcell import TestCell
-from repro.core.exceptions import ConfigurationError
+from repro.core.exceptions import ConfigurationError, StoreError
 from repro.optimize.result import Step1Result, TwoStepResult
 from repro.reporting.export import result_to_records
 from repro.reporting.series import Series
@@ -310,7 +310,8 @@ class Engine:
         """Record a computed result in both tiers, counting the miss.
 
         The persistent write is best-effort: the store is a cache, so a
-        failing disk (full, permissions revoked mid-run) must not destroy a
+        failing disk (full, permissions revoked mid-run: ``OSError``) or an
+        index that cannot commit (``StoreError``) must not destroy a
         computed result -- the batch completes on the in-memory tier alone.
         Misconfigured store *paths* still fail fast, at
         :class:`~repro.store.PackedResultStore` construction.
@@ -321,7 +322,7 @@ class Engine:
         if self._result_store is not None:
             try:
                 self._result_store.put(result.scenario, result.result)
-            except OSError:
+            except (OSError, StoreError):
                 pass
 
     @staticmethod
@@ -555,7 +556,7 @@ class Engine:
         records, buffer[:] = list(buffer), []
         try:
             self._result_store.put_records(records)
-        except OSError:
+        except (OSError, StoreError):
             pass
 
     def _recall(self, key: tuple, scenario: Scenario) -> ScenarioResult:

@@ -15,21 +15,20 @@ synthetic_family` sized by ``smoke``) it times three runs:
 
 The resumed run must produce the same order-insensitive result digest as
 the cold run (bit-identical values) and recompute only the abandoned
-scenarios (asserted via the engine's store-hit count); because it skips
+scenarios (the resume row's ``cache`` counters); because it skips
 the finished majority it is several times faster than the cold run --
 ``benchmarks/test_bench_campaign.py`` pins the >= 2x floor.
 """
 
 from __future__ import annotations
 
-import time
 from pathlib import Path
 from typing import Any
 
 from repro.api.engine import Engine
 from repro.api.grid import SweepGrid
 from repro.api.testcell import reference_test_cell
-from repro.bench.runner import sweep_digest
+from repro.bench.runner import sweep_digest, timed_section
 from repro.core.exceptions import ConfigurationError
 from repro.core.units import mega_vectors
 from repro.soc.catalog import synthetic_family
@@ -61,24 +60,27 @@ def campaign_grid(smoke: bool = False) -> SweepGrid:
     )
 
 
-def _stream(engine: Engine, grid: SweepGrid, limit: int | None = None) -> tuple[list, float]:
-    """Consume ``grid`` through ``engine`` (at most ``limit`` results), timed."""
+def _stream(engine: Engine, grid: SweepGrid, limit: int | None = None) -> list:
+    """Consume ``grid`` through ``engine`` (at most ``limit`` results)."""
     results = []
-    started = time.perf_counter()
     for record in engine.run_iter(grid):
         results.append(record)
         if limit is not None and len(results) >= limit:
             break
-    return results, time.perf_counter() - started
+    return results
 
 
 def run_campaign(
     work_dir: str | Path, smoke: bool = False, workers: int | None = None
-) -> dict[str, Any]:
-    """Run the cold / interrupted / resumed campaign; return the JSON record.
+) -> tuple[list[dict[str, Any]], dict[str, bool]]:
+    """Run the cold / interrupted / resumed campaign.
 
-    ``work_dir`` receives two store directories (``cold/``, ``resume/``);
-    the caller owns cleanup (the bench runner uses a temp directory).
+    Returns the three bench section rows (``campaign cold``, ``campaign
+    interrupted``, ``campaign resume``; ``ops`` counts the results each
+    leg delivered, ``digest`` is their :func:`sweep_digest`) and the
+    ``campaign digests`` check (cold == resumed).  ``work_dir`` receives
+    two store directories (``cold/``, ``resume/``); the caller owns
+    cleanup (the bench runner uses a temp directory).
     """
     work_dir = Path(work_dir)
     grid = campaign_grid(smoke)
@@ -87,34 +89,19 @@ def run_campaign(
     if interrupt_after >= total:
         raise ConfigurationError("campaign grid too small to interrupt")
 
-    # Every engine gets the same worker setting, so the reported speedup
-    # measures resumption alone, not a parallelism difference.
-    cold_engine = Engine(store=work_dir / "cold", workers=workers)
-    cold_results, cold_seconds = _stream(cold_engine, grid)
-
-    # A second cold store, abandoned after `interrupt_after` results --
-    # the finished scenarios are on disk, the in-flight rest is lost.
-    interrupted_engine = Engine(store=work_dir / "resume", workers=workers)
-    interrupted_results, interrupted_seconds = _stream(
-        interrupted_engine, grid, limit=interrupt_after
-    )
-
-    resume_engine = Engine(store=work_dir / "resume", workers=workers)
-    resumed_results, resume_seconds = _stream(resume_engine, grid)
-    resume_info = resume_engine.cache_info()
-
-    cold_digest = sweep_digest(cold_results)
-    resumed_digest = sweep_digest(resumed_results)
-    return {
-        "scenarios": total,
-        "interrupted_after": len(interrupted_results),
-        "cold_seconds": cold_seconds,
-        "interrupted_seconds": interrupted_seconds,
-        "resume_seconds": resume_seconds,
-        "resume_store_hits": resume_info.store_hits,
-        "resume_recomputed": resume_info.misses,
-        "speedup": cold_seconds / resume_seconds if resume_seconds > 0 else float("inf"),
-        "cold_digest": cold_digest,
-        "resumed_digest": resumed_digest,
-        "digests_match": cold_digest == resumed_digest,
-    }
+    # Every engine gets the same worker setting, so the resume speedup
+    # measures resumption alone, not a parallelism difference.  The
+    # interrupted leg abandons a second cold store after `interrupt_after`
+    # results -- the finished scenarios are on disk, the in-flight rest is
+    # lost -- and the resume leg streams the full grid over it again.
+    rows = []
+    for name, store, limit in (
+        ("campaign cold", "cold", None),
+        ("campaign interrupted", "resume", interrupt_after),
+        ("campaign resume", "resume", None),
+    ):
+        engine = Engine(store=work_dir / store, workers=workers)
+        row, results = timed_section(name, lambda: _stream(engine, grid, limit), engine)
+        row.update(ops=len(results), digest=sweep_digest(results))
+        rows.append(row)
+    return rows, {"campaign digests": rows[0]["digest"] == rows[2]["digest"]}

@@ -23,8 +23,9 @@ Installed as ``repro-multisite`` (see ``setup.py``) and runnable as
   workers over HTTP/JSON and collect their records into one store;
 * ``work``       -- the matching worker loop: lease shards from a
   ``--server URL``, compute locally, upload records;
-* ``bench``      -- time experiments/solvers/sweeps and write ``BENCH_<tag>.json``
-  (``--compare PREV.json`` prints a regression summary;
+* ``bench``      -- time experiments/solvers/sweeps/campaign/analysis legs and
+  write ``BENCH_<tag>.json`` (exit 1 when a cross-leg check fails;
+  ``--compare PREV.json`` prints a regression summary;
   ``--fail-on-regression PCT`` turns it into a CI ratchet);
 * ``all``        -- regenerate the full experiment report (slow);
 * one sub-command per registered experiment (``table1``, ``figure5``,
@@ -70,6 +71,7 @@ from repro.api.testcell import TestCell, reference_test_cell
 from repro.ate.probe_station import ProbeStation
 from repro.ate.spec import AteSpec
 from repro.bench.runner import (
+    REGRESSION_FLOOR_SECONDS,
     compare_reports,
     find_regressions,
     format_profile,
@@ -511,8 +513,8 @@ def _add_bench_parser(
     parser = subparsers.add_parser(
         "bench",
         parents=[store_options],
-        help="time experiments, solver backends and the d695 sweep; "
-        "write BENCH_<tag>.json",
+        help="time experiments, solvers, sweeps, the campaign and the analysis "
+        "scan; write BENCH_<tag>.json",
     )
     parser.add_argument(
         "--tag",
@@ -528,32 +530,13 @@ def _add_bench_parser(
         "--workers",
         type=int,
         default=None,
-        help="worker processes for the sweep batch (default: serial)",
-    )
-    parser.add_argument(
-        "--chunk",
-        type=_chunk_size,
-        default="auto",
-        metavar="N|auto",
-        help="scenarios per pool task in the timed sweeps (default 'auto')",
-    )
-    parser.add_argument(
-        "--flush-every",
-        type=_positive_int,
-        default=None,
-        metavar="N",
-        help="records per --store write batch in the timed sweeps (default 1)",
+        help="worker processes for the sweeps (default: serial)",
     )
     parser.add_argument(
         "--output",
         metavar="DIR",
         default=".",
         help="directory the report is written to (default: current directory)",
-    )
-    parser.add_argument(
-        "--objective",
-        default=DEFAULT_OBJECTIVE,
-        help=f"objective the timed sweep optimises (default {DEFAULT_OBJECTIVE!r})",
     )
     parser.add_argument(
         "--compare",
@@ -610,15 +593,7 @@ def _run_bench(args: argparse.Namespace) -> int:
 
         profiler = cProfile.Profile()
         profiler.enable()
-    report = run_bench(
-        tag=args.tag,
-        store=args.store,
-        smoke=args.smoke,
-        workers=args.workers,
-        objective=args.objective,
-        chunk_size=args.chunk,
-        flush_every=args.flush_every,
-    )
+    report = run_bench(tag=args.tag, store=args.store, smoke=args.smoke, workers=args.workers)
     if profiler is not None:
         profiler.disable()
 
@@ -637,16 +612,16 @@ def _run_bench(args: argparse.Namespace) -> int:
         print()
         print(compare_reports(report, previous))
     print(f"report written to {path}")
+    failed = [name for name, passed in report["checks"].items() if not passed]
+    if failed:
+        print(f"bench checks FAILED: {', '.join(failed)}", file=sys.stderr)
     if previous is not None and args.fail_on_regression is not None:
-        if args.noise_floor is not None:
-            regressions = find_regressions(
-                report,
-                previous,
-                args.fail_on_regression,
-                noise_floor_seconds=args.noise_floor / 1000.0,
-            )
-        else:
-            regressions = find_regressions(report, previous, args.fail_on_regression)
+        noise_floor = (
+            REGRESSION_FLOOR_SECONDS if args.noise_floor is None else args.noise_floor / 1000.0
+        )
+        regressions = find_regressions(
+            report, previous, args.fail_on_regression, noise_floor_seconds=noise_floor
+        )
         if regressions:
             print(
                 f"perf ratchet FAILED: {len(regressions)} workload(s) regressed "
@@ -657,7 +632,7 @@ def _run_bench(args: argparse.Namespace) -> int:
                 print(f"  {line}", file=sys.stderr)
             return 1
         print(f"perf ratchet passed (threshold +{args.fail_on_regression:g}%)")
-    return 0
+    return 1 if failed else 0
 
 
 def _run_design(args: argparse.Namespace) -> int:

@@ -42,12 +42,16 @@ def is_packed(root: str | Path) -> bool:
     return (Path(root).expanduser() / PACKED_MANIFEST).is_file()
 
 
-def open_store(store) -> PackedResultStore:
+def open_store(store, *, create: bool = True) -> PackedResultStore:
     """Open a persistent result store from a directory path or a store.
 
     An already-open store is returned unchanged (so call sites can be
     handed either); a path opens as :class:`PackedResultStore`, which
-    initialises a fresh directory and rejects a legacy one.
+    initialises a fresh directory and rejects a legacy one.  Readers pass
+    ``create=False``: a path that is not a packed store then raises a
+    :class:`~repro.core.exceptions.ConfigurationError` naming it and
+    leaves the file system untouched, so a query on a mistyped path never
+    creates an empty store there.
     """
     if isinstance(store, PackedResultStore):
         return store
@@ -56,6 +60,8 @@ def open_store(store) -> PackedResultStore:
             f"cannot open a store from a {type(store).__name__}; "
             "pass a directory path or a store object"
         )
+    if not create and not is_packed(store) and not holds_legacy_records(Path(store).expanduser()):
+        raise ConfigurationError(f"{store} is not a result store (no {PACKED_MANIFEST} there)")
     return PackedResultStore(store)
 
 

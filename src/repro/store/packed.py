@@ -450,6 +450,14 @@ class PackedResultStore:
         pays no decode here).  The ordering is segment bytes, then sidecar
         bytes, then index commit, so the sidecar a reader accepts as
         covering the segment never references unwritten bytes.
+
+        Raises
+        ------
+        StoreError
+            When the index cannot take the batch (database locked past its
+            timeout, disk full inside SQLite); callers see no SQLite type.
+        OSError
+            When the segment bytes cannot be written.
         """
         rows = []
         sidecar_entries: list[tuple[int, int, "list | None"]] = []
@@ -489,14 +497,25 @@ class PackedResultStore:
                 except OSError:
                     self._close_sidecar()
                     self._sidecar_disabled = True
-            connection = self._connect()
-            connection.executemany(
-                "INSERT OR REPLACE INTO records "
-                "(key, segment, offset, length, soc, solver, objective, "
-                " package_version, created_at) VALUES (?,?,?,?,?,?,?,?,?)",
-                rows,
-            )
-            connection.commit()
+            try:
+                connection = self._connect()
+                connection.executemany(
+                    "INSERT OR REPLACE INTO records "
+                    "(key, segment, offset, length, soc, solver, objective, "
+                    " package_version, created_at) VALUES (?,?,?,?,?,?,?,?,?)",
+                    rows,
+                )
+                connection.commit()
+            except sqlite3.Error as error:
+                # The appended lines stay unindexed (dead bytes for
+                # `compact`); a half-open transaction must not swallow the
+                # next batch.
+                if self._connection is not None:
+                    try:
+                        self._connection.rollback()
+                    except sqlite3.Error:
+                        pass
+                raise StoreError(f"cannot index records in {self._root}: {error}") from error
             self._puts += len(rows)
         return self._segment_path(segment)
 

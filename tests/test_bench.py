@@ -1,5 +1,13 @@
-"""Tests for the benchmark telemetry runner (repro.bench)."""
+"""Tests for the benchmark telemetry runner (repro.bench).
 
+Three full smoke benches run here: the cold/warm pair against one store
+(``smoke_reports``) and one CLI run that drives every report-side flag at
+once (``cli_run``).  The pairing, noise-floor, digest, new/gone and
+failed-check rules are tested on hand-built reports.
+"""
+
+import contextlib
+import io
 import json
 
 import pytest
@@ -14,19 +22,81 @@ from repro.bench import (
     summarize_report,
     write_report,
 )
+from repro.bench.runner import (
+    SMOKE_ANALYSIS_BENCH_RECORDS,
+    compare_reports,
+    find_regressions,
+    load_report,
+)
 from repro.cli import main
 from repro.core.exceptions import ConfigurationError
 from repro.solvers.registry import solver_names
 from repro.store import is_packed
 
+KERNEL_FIELDS = {"hits", "misses", "batch_calls", "batch_points", "max_batch"}
+
+
+def _row(name, ops, seconds, digest=None):
+    return {"name": name, "ops": ops, "seconds": seconds, "counters": {}, "digest": digest}
+
+
+def _report(sections, tag="r", checks=None, wall_seconds=1.0):
+    """A minimal format-2 report around hand-built section rows."""
+    return {
+        "format": BENCH_FORMAT,
+        "tag": tag,
+        "package_version": "0.0.0",
+        "python_version": "3",
+        "smoke": True,
+        "store": {"enabled": False, "root": None},
+        "sections": list(sections),
+        "checks": dict(checks or {}),
+        "counters": {"kernel": dict.fromkeys(KERNEL_FIELDS, 0)},
+        "wall_seconds": wall_seconds,
+    }
+
+
+def _rows(report):
+    return {row["name"]: row for row in report["sections"]}
+
 
 @pytest.fixture(scope="module")
-def smoke_reports(tmp_path_factory):
+def store_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("bench") / "store"
+
+
+@pytest.fixture(scope="module")
+def smoke_reports(store_dir):
     """One cold and one warm smoke bench against a shared store."""
-    store_dir = tmp_path_factory.mktemp("bench-store")
     cold = run_bench(tag="cold", store=store_dir, smoke=True)
     warm = run_bench(tag="warm", store=store_dir, smoke=True)
     return cold, warm
+
+
+@pytest.fixture(scope="module")
+def cli_run(smoke_reports, tmp_path_factory):
+    """One ``repro bench`` CLI run covering every report-side flag.
+
+    Compares against the cold report with a 0% threshold that only a
+    noise floor above every section's time (100 s) can let pass, so a
+    passing ratchet proves ``--noise-floor`` reached it.
+    """
+    work = tmp_path_factory.mktemp("bench-cli")
+    baseline = write_report(smoke_reports[0], work / "baseline")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(
+            [
+                "bench", "--smoke", "--tag", "cli",
+                "--store", str(work / "store"),
+                "--output", str(work),
+                "--compare", str(baseline),
+                "--fail-on-regression", "0",
+                "--noise-floor", "100000",
+                "--profile", "--profile-out", str(work / "bench.prof"),
+            ]
+        )
+    return code, out.getvalue(), err.getvalue(), work
 
 
 class TestReportShape:
@@ -34,51 +104,74 @@ class TestReportShape:
         cold, _ = smoke_reports
         from repro import __version__
 
-        assert cold["format"] == BENCH_FORMAT
+        assert cold["format"] == BENCH_FORMAT == 2
         assert cold["tag"] == "cold"
         assert cold["package_version"] == __version__
         assert cold["smoke"] is True
         assert cold["store"]["enabled"] is True
         assert cold["wall_seconds"] > 0
         assert cold["store_info"]["puts"] > 0
+        assert cold["checks"] == {
+            "fanout digests": True,
+            "campaign digests": True,
+            "analysis records": True,
+            "analysis table": True,
+        }
+        for row in cold["sections"]:
+            assert set(row) in (
+                {"name", "ops", "seconds", "counters", "digest"},
+                {"name", "skipped"},
+            )
 
     def test_experiment_rows(self, smoke_reports):
         cold, _ = smoke_reports
-        rows = {row["name"]: row for row in cold["experiments"]}
-        assert "economics" in rows
-        assert rows["economics"]["seconds"] > 0
-        assert rows["economics"]["cache"]["misses"] > 0
+        economics = _rows(cold)["experiment economics"]
+        assert economics["ops"] == 1
+        assert economics["seconds"] > 0
+        assert economics["counters"]["cache"]["misses"] > 0
 
     def test_solver_rows_cover_registry(self, smoke_reports):
         cold, _ = smoke_reports
-        rows = {row["name"]: row for row in cold["solvers"]}
-        assert set(rows) == set(solver_names())
+        rows = {
+            name: row for name, row in _rows(cold).items() if name.startswith("solver ")
+        }
+        assert set(rows) == {f"solver {name}" for name in solver_names()}
         # The exhaustive oracle cannot handle the 10-module d695: it must be
         # recorded as skipped (with the reason), not dropped or crashed.
-        assert "skipped" in rows["exhaustive"]
-        assert "8 modules" in rows["exhaustive"]["skipped"]
-        assert rows["goel05"]["optimal_sites"] >= 1
-        assert rows["goel05"]["seconds"] > 0
+        assert "8 modules" in rows["solver exhaustive"]["skipped"]
+        assert len(rows["solver goel05"]["digest"]) == 64
+        assert rows["solver goel05"]["seconds"] > 0
 
     def test_sweep_row(self, smoke_reports):
         cold, _ = smoke_reports
-        sweep = cold["sweep"]
-        assert sweep["scenarios"] == len(bench_sweep_grid(smoke=True)) == 4
+        sweep = _rows(cold)["sweep d695"]
+        assert sweep["ops"] == len(bench_sweep_grid(smoke=True)) == 4
         assert len(sweep["digest"]) == 64
-        assert sweep["evaluate_kernel"]["misses"] >= 0
+        # The default-objective grid keeps its pre-objective scenario keys.
+        assert all(len(s.canonical_key()) == 4 for s in bench_sweep_grid(smoke=True))
+        assert sweep["counters"]["kernel"]["misses"] >= 0
 
     def test_analysis_row(self, smoke_reports):
         cold, _ = smoke_reports
-        analysis = cold["analysis"]
-        assert analysis["records"] == analysis["full_decode"]["records"]
-        assert analysis["records"] == analysis["sidecar_scan"]["records"]
-        assert analysis["records_identical"] is True
-        assert analysis["table_digests_identical"] is True
-        assert len(analysis["table_digest"]) == 64
-        assert analysis["full_decode"]["rows_per_second"] > 0
+        rows = _rows(cold)
+        decode, scan = rows["analysis full decode"], rows["analysis sidecar scan"]
+        assert decode["ops"] == scan["ops"] == SMOKE_ANALYSIS_BENCH_RECORDS
+        assert decode["digest"] == scan["digest"] and len(scan["digest"]) == 64
+        assert cold["checks"]["analysis records"] is True
+        assert cold["checks"]["analysis table"] is True
         # The acceptance threshold (>= 10x) is asserted under the benchmark
         # harness; the unit test only requires a genuine speedup.
-        assert analysis["speedup"] > 1.0
+        assert scan["seconds"] < decode["seconds"]
+
+    def test_campaign_rows(self, smoke_reports):
+        cold, _ = smoke_reports
+        rows = _rows(cold)
+        first, interrupted, resume = (
+            rows[f"campaign {leg}"] for leg in ("cold", "interrupted", "resume")
+        )
+        assert 0 < interrupted["ops"] < first["ops"] == resume["ops"]
+        assert resume["counters"]["cache"]["store_hits"] == interrupted["ops"]
+        assert first["digest"] == resume["digest"]
 
     def test_report_is_json_serializable(self, smoke_reports):
         cold, warm = smoke_reports
@@ -89,32 +182,30 @@ class TestReportShape:
 class TestWarmStore:
     def test_warm_run_reports_store_hits(self, smoke_reports):
         _, warm = smoke_reports
-        assert warm["sweep"]["cache"]["store_hits"] == warm["sweep"]["scenarios"]
-        assert warm["sweep"]["cache"]["misses"] == 0
-        experiment_hits = sum(
-            row["cache"]["store_hits"] for row in warm["experiments"]
-        )
-        assert experiment_hits > 0
+        sweep = _rows(warm)["sweep d695"]
+        assert sweep["counters"]["cache"]["store_hits"] == sweep["ops"]
+        assert sweep["counters"]["cache"]["misses"] == 0
+        assert _rows(warm)["experiment economics"]["counters"]["cache"]["store_hits"] > 0
 
     def test_warm_run_is_bit_identical(self, smoke_reports):
         cold, warm = smoke_reports
-        assert cold["sweep"]["digest"] == warm["sweep"]["digest"]
+        assert _rows(cold)["sweep d695"]["digest"] == _rows(warm)["sweep d695"]["digest"]
 
     def test_warm_run_is_not_slower(self, smoke_reports):
         cold, warm = smoke_reports
         # The acceptance threshold (>= 2x) is asserted under the benchmark
         # harness; here we only require the warm path not to regress, which
         # keeps the unit test robust on loaded CI machines.
-        assert warm["sweep"]["seconds"] <= cold["sweep"]["seconds"]
+        assert _rows(warm)["sweep d695"]["seconds"] <= _rows(cold)["sweep d695"]["seconds"]
 
 
 class TestReportFile:
-    def test_write_report_names_file_after_tag(self, tmp_path):
-        report = run_bench(tag="unit", store=tmp_path / "s", smoke=True)
-        assert is_packed(tmp_path / "s")  # a fresh store directory becomes packed
-        path = write_report(report, tmp_path)
-        assert path.name == report_filename(report) == "BENCH_unit.json"
-        assert json.loads(path.read_text())["tag"] == "unit"
+    def test_write_report_names_file_after_tag(self, smoke_reports, store_dir, tmp_path):
+        cold, _ = smoke_reports
+        assert is_packed(store_dir)  # a fresh store directory becomes packed
+        path = write_report(cold, tmp_path)
+        assert path.name == report_filename(cold) == "BENCH_cold.json"
+        assert json.loads(path.read_text())["tag"] == "cold"
 
     def test_default_tag_is_package_version(self):
         from repro import __version__
@@ -130,38 +221,45 @@ class TestReportFile:
     def test_summary_mentions_all_sections(self, smoke_reports):
         cold, _ = smoke_reports
         text = summarize_report(cold)
-        assert "economics" in text
-        assert "goel05" in text
-        assert "d695 sweep" in text
+        for row in cold["sections"]:
+            assert row["name"] in text
         assert "digest" in text
-        assert "sidecar scan" in text
+        assert "check campaign digests: ok" in text
+
+    def test_summary_marks_failed_checks(self):
+        report = _report([_row("sweep d695", 4, 0.1)], checks={"fanout digests": False})
+        assert "check fanout digests: FAILED" in summarize_report(report)
 
 
 class TestBenchCli:
-    def test_bench_subcommand_writes_report(self, tmp_path, capsys):
-        code = main(
-            [
-                "bench",
-                "--smoke",
-                "--tag",
-                "cli",
-                "--store",
-                str(tmp_path / "store"),
-                "--output",
-                str(tmp_path),
-            ]
-        )
+    def test_bench_subcommand_writes_report(self, cli_run):
+        code, out, _, work = cli_run
         assert code == 0
-        out = capsys.readouterr().out
         assert "BENCH_cli.json" in out
-        report = json.loads((tmp_path / "BENCH_cli.json").read_text())
+        report = json.loads((work / "BENCH_cli.json").read_text())
         assert report["tag"] == "cli"
         assert report["store"]["enabled"] is True
+        assert is_packed(work / "store")
+        assert "bench compare: cold" in out and "-> cli" in out
 
     def test_bench_rejects_bad_tag(self, tmp_path, capsys):
         code = main(["bench", "--smoke", "--tag", "a/b", "--output", str(tmp_path)])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_failed_check_exits_nonzero(self, tmp_path, capsys, monkeypatch):
+        report = _report(
+            [_row("fanout w=2 chunk=1", 16, 0.1, "a"), _row("fanout w=2 chunk=auto", 16, 0.1, "b")],
+            tag="broken",
+            checks={"fanout digests": False, "campaign digests": True},
+        )
+        monkeypatch.setattr("repro.cli.run_bench", lambda **options: report)
+        code = main(["bench", "--smoke", "--output", str(tmp_path)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "bench checks FAILED: fanout digests" in captured.err
+        assert "campaign digests" not in captured.err
+        assert (tmp_path / "BENCH_broken.json").is_file()  # still written
 
 
 class TestResultsDigest:
@@ -176,59 +274,57 @@ class TestResultsDigest:
 
 class TestCompareReports:
     def test_compare_smoke_reports(self, smoke_reports):
-        from repro.bench.runner import compare_reports
-
         cold, warm = smoke_reports
         text = compare_reports(warm, cold)
         assert "bench compare: cold" in text and "-> warm" in text
-        assert "economics" in text
-        assert "digests: identical" in text
+        assert "experiment economics" in text
+        assert "digests identical" in text
+        assert "DIFFER" not in text
         assert "x)" in text  # at least one speedup ratio
+        assert "new:" not in text and "gone:" not in text
 
-    def test_regressions_pair_analysis_legs(self, smoke_reports):
-        from repro.bench.runner import find_regressions
-
-        cold, warm = smoke_reports
-        slow = dict(
-            warm,
-            analysis=dict(
-                warm["analysis"],
-                sidecar_scan=dict(warm["analysis"]["sidecar_scan"], seconds=100.0),
-            ),
+    def test_regressions_pair_analysis_legs(self):
+        previous = _report(
+            [_row("analysis full decode", 1500, 3.0), _row("analysis sidecar scan", 1500, 0.2)]
         )
-        regressions = find_regressions(slow, cold, 10.0)
-        assert any("analysis sidecar scan" in line for line in regressions)
-        # Different record counts never pair (the name-new-section rule).
-        resized = dict(slow, analysis=dict(slow["analysis"], records=1))
-        assert not any(
-            "analysis" in line for line in find_regressions(resized, cold, 10.0)
+        slow = _report(
+            [_row("analysis full decode", 1500, 3.0), _row("analysis sidecar scan", 1500, 100.0)]
         )
+        regressions = find_regressions(slow, previous, 10.0)
+        assert len(regressions) == 1
+        assert regressions[0].startswith("analysis sidecar scan (1500 ops)")
+        # Different workload sizes never pair: (name, ops) is the key.
+        resized = _report([_row("analysis sidecar scan", 1, 100.0)])
+        assert find_regressions(resized, previous, 10.0) == []
 
-    def test_compare_flags_different_workloads(self, smoke_reports):
-        from repro.bench.runner import compare_reports
+    def test_compare_flags_different_workloads(self):
+        previous = _report([_row("sweep d695", 4, 0.5), _row("solver goel05", 1, 0.5)])
+        current = _report([_row("sweep d695", 99, 0.5), _row("solver goel05", 1, 0.5)])
+        text = compare_reports(current, previous)
+        assert "solver goel05 (1 ops)" in text
+        assert "new: sweep d695 (99 ops)" in text
+        assert "gone: sweep d695 (4 ops)" in text
 
-        cold, warm = smoke_reports
-        other = dict(warm, sweep=dict(warm["sweep"], scenarios=99))
-        assert "not comparable" in compare_reports(other, cold)
+    def test_compare_flags_digest_mismatch(self):
+        previous = _report([_row("sweep d695", 4, 0.5, "aaaa"), _row("solver goel05", 1, 0.5)])
+        current = _report([_row("sweep d695", 4, 0.5, "deadbeef"), _row("solver goel05", 1, 0.5, "x")])
+        lines = compare_reports(current, previous).splitlines()
+        assert any("sweep d695" in line and "digests DIFFER" in line for line in lines)
+        # A row without a digest on either side makes no digest claim.
+        assert not any("solver goel05" in line and "digests" in line for line in lines)
 
-    def test_compare_flags_digest_mismatch(self, smoke_reports):
-        from repro.bench.runner import compare_reports
+    def test_skipped_rows_never_pair(self):
+        previous = _report([{"name": "solver exhaustive", "skipped": "too big"}])
+        current = _report([_row("solver exhaustive", 1, 9.0)])
+        assert find_regressions(current, previous, 0.0, noise_floor_seconds=0.0) == []
+        assert "new: solver exhaustive (1 ops)" in compare_reports(current, previous)
 
-        cold, warm = smoke_reports
-        other = dict(warm, sweep=dict(warm["sweep"], digest="deadbeef"))
-        assert "digests: DIFFER" in compare_reports(other, cold)
-
-    def test_load_report_roundtrip(self, smoke_reports, tmp_path):
-        from repro.bench.runner import load_report, write_report
-
-        cold, _ = smoke_reports
-        path = write_report(cold, tmp_path)
-        assert load_report(path)["tag"] == "cold"
+    def test_load_report_roundtrip(self, tmp_path):
+        report = _report([_row("sweep d695", 4, 0.5, "aaaa")], tag="round")
+        path = write_report(report, tmp_path)
+        assert load_report(path) == report
 
     def test_load_report_rejects_non_reports(self, tmp_path):
-        from repro.bench.runner import load_report
-        from repro.core.exceptions import ConfigurationError
-
         missing = tmp_path / "nope.json"
         with pytest.raises(ConfigurationError, match="cannot read"):
             load_report(missing)
@@ -240,57 +336,80 @@ class TestCompareReports:
         empty.write_text("{}", encoding="utf-8")
         with pytest.raises(ConfigurationError, match="not a bench report"):
             load_report(empty)
+        old = tmp_path / "BENCH_old.json"
+        old.write_text(json.dumps({"format": 1, "tag": "old", "sweep": {}}), encoding="utf-8")
+        with pytest.raises(ConfigurationError, match="format-1 bench report"):
+            load_report(old)
 
     def test_committed_seed_baseline_loads(self):
         from pathlib import Path
-
-        from repro.bench.runner import load_report
 
         seed_path = Path(__file__).resolve().parents[1] / "BENCH_seed.json"
         assert seed_path.is_file(), "BENCH_seed.json baseline missing from the repo root"
         seed = load_report(seed_path)
         assert seed["tag"] == "seed"
-        assert seed["sweep"]["scenarios"] >= 4
+        # The (name, ops) pairs the CI ratchet compares a smoke run against.
+        assert [
+            (row["name"], row["ops"]) for row in seed["sections"] if "seconds" in row
+        ] == [
+            ("experiment economics", 1),
+            ("solver goel05", 1),
+            ("solver restart", 1),
+            ("solver simulated_annealing", 1),
+            ("sweep d695", 4),
+            ("synthetic sweep", 16),
+            ("fanout w=2 chunk=1", 16),
+            ("fanout w=2 chunk=auto", 16),
+            ("campaign cold", 6),
+            ("campaign interrupted", 4),
+            ("campaign resume", 6),
+            ("analysis full decode", 1500),
+            ("analysis sidecar scan", 1500),
+        ]
+        assert all(seed["checks"].values())
 
-    def test_bench_sweep_grid_objective_axis(self):
-        grid = bench_sweep_grid(smoke=True, objective="cost_per_good_die")
-        assert all(s.objective == "cost_per_good_die" for s in grid)
-        # The default-objective grid keeps its pre-objective digests.
-        default = bench_sweep_grid(smoke=True)
-        assert all(len(s.canonical_key()) == 4 for s in default)
+    def test_smoke_run_pairs_every_seed_section(self, smoke_reports):
+        from pathlib import Path
+
+        seed = load_report(Path(__file__).resolve().parents[1] / "BENCH_seed.json")
+        cold, _ = smoke_reports
+        text = compare_reports(cold, seed)
+        assert "gone:" not in text
+        # Same workloads, same exact results as when the baseline was taken.
+        assert "digests identical" in text and "DIFFER" not in text
 
 
 class TestKernelCounters:
     def test_every_section_records_kernel_counters(self, smoke_reports):
         cold, _ = smoke_reports
-        for row in cold["experiments"]:
-            assert set(row["evaluate_kernel"]) == {
-                "hits", "misses", "batch_calls", "batch_points", "max_batch",
-            }
-        for row in cold["solvers"]:
+        for row in cold["sections"]:
             if "skipped" not in row:
-                assert "evaluate_kernel" in row
-        assert cold["sweep"]["evaluate_kernel"]["misses"] >= 0
-        assert cold["synthetic_sweep"]["evaluate_kernel"]["misses"] > 0
-        assert cold["evaluate_kernel"]["batch_calls"] > 0
+                assert set(row["counters"]["kernel"]) == KERNEL_FIELDS
+        assert _rows(cold)["synthetic sweep"]["counters"]["kernel"]["misses"] > 0
+        assert cold["counters"]["kernel"]["batch_calls"] > 0
 
     def test_summary_prints_kernel_totals(self, smoke_reports):
         cold, _ = smoke_reports
         text = summarize_report(cold)
         assert "evaluate kernel:" in text
-        assert "synthetic sweep (cold):" in text
+        assert "synthetic sweep" in text
+        assert "kernel misses" in text
 
 
 class TestClearComputationCaches:
     def test_every_process_cache_is_emptied(self):
         from repro.api.testcell import reference_test_cell
         from repro.bench.runner import clear_computation_caches
+        from repro.itc02 import registry
         from repro.optimize.config import OptimizationConfig
+        from repro.soc import catalog, pnx8550
         from repro.soc.catalog import resolve_catalog_soc
         from repro.solvers import bounds
         from repro.wrapper import combine, pareto
 
         soc = resolve_catalog_soc("d695")
+        resolve_catalog_soc("synthetic:7:4")
+        resolve_catalog_soc("pnx8550")
         cell = reference_test_cell(channels=256, depth_m=0.0625)
         bounds.certificate(
             soc, cell.ate, cell.probe_station, OptimizationConfig(), "throughput"
@@ -301,10 +420,13 @@ class TestClearComputationCaches:
             bounds._certificate,
             combine.module_test_time,
             combine.module_curve,
+            catalog._make_synthetic,
+            registry.load_benchmark,
+            pnx8550.make_pnx8550,
         )
         assert all(cache.cache_info().currsize > 0 for cache in caches)
         clear_computation_caches()
-        assert [cache.cache_info().currsize for cache in caches] == [0, 0, 0]
+        assert [cache.cache_info().currsize for cache in caches] == [0] * len(caches)
 
 
 class TestSyntheticSweep:
@@ -320,32 +442,26 @@ class TestSyntheticSweep:
 
     def test_section_shape(self, smoke_reports):
         cold, warm = smoke_reports
-        section = cold["synthetic_sweep"]
-        assert section["scenarios"] == 16
+        section = _rows(cold)["synthetic sweep"]
+        assert section["ops"] == 16
         assert section["seconds"] > 0
         assert len(section["digest"]) == 64
         # The synthetic sweep is always cold (caches cleared, no store), so
         # the warm report must reproduce the digest by recomputation.
-        assert warm["synthetic_sweep"]["digest"] == section["digest"]
-        assert warm["synthetic_sweep"]["cache"]["store_hits"] == 0
+        assert _rows(warm)["synthetic sweep"]["digest"] == section["digest"]
+        assert _rows(warm)["synthetic sweep"]["counters"]["cache"]["store_hits"] == 0
 
 
 class TestNoiseFloor:
     @staticmethod
     def _reports(before, after):
-        previous = {"experiments": [{"name": "x", "seconds": before}], "solvers": []}
-        current = {"experiments": [{"name": "x", "seconds": after}], "solvers": []}
-        return current, previous
+        return _report([_row("experiment x", 1, after)]), _report([_row("experiment x", 1, before)])
 
     def test_default_floor_ignores_sub_50ms_workloads(self):
-        from repro.bench.runner import find_regressions
-
         current, previous = self._reports(0.010, 0.040)
         assert find_regressions(current, previous, 10.0) == []
 
     def test_custom_floor_catches_fast_workloads(self):
-        from repro.bench.runner import find_regressions
-
         current, previous = self._reports(0.010, 0.040)
         regressions = find_regressions(
             current, previous, 10.0, noise_floor_seconds=0.005
@@ -354,40 +470,19 @@ class TestNoiseFloor:
         assert "experiment x" in regressions[0]
 
     def test_raised_floor_silences_regressions(self):
-        from repro.bench.runner import find_regressions
-
         current, previous = self._reports(0.2, 0.9)
         assert find_regressions(current, previous, 10.0, noise_floor_seconds=1.0) == []
         assert len(find_regressions(current, previous, 10.0)) == 1
 
     def test_negative_floor_rejected(self):
-        from repro.bench.runner import find_regressions
-
         current, previous = self._reports(0.2, 0.9)
         with pytest.raises(ConfigurationError, match="noise floor"):
             find_regressions(current, previous, 10.0, noise_floor_seconds=-0.1)
 
-    def test_cli_noise_floor_flag(self, tmp_path, capsys):
-        baseline = run_bench(tag="base", smoke=True)
-        write_report(baseline, tmp_path)
-        code = main(
-            [
-                "bench",
-                "--smoke",
-                "--tag",
-                "next",
-                "--output",
-                str(tmp_path),
-                "--compare",
-                str(tmp_path / "BENCH_base.json"),
-                "--fail-on-regression",
-                "1000000",
-                "--noise-floor",
-                "100",
-            ]
-        )
-        assert code == 0
-        assert "perf ratchet passed" in capsys.readouterr().out
+    def test_cli_noise_floor_flag(self, cli_run):
+        code, out, err, _ = cli_run
+        assert code == 0, err
+        assert "perf ratchet passed (threshold +0%)" in out
 
     def test_cli_rejects_negative_noise_floor(self, tmp_path, capsys):
         code = main(
@@ -425,26 +520,12 @@ class TestProfile:
         ) == "numpy/core/x.py"
         assert _normalise_profile_path("~") == "~"
 
-    def test_cli_profile_prints_table_and_writes_stats(self, tmp_path, capsys):
-        out_file = tmp_path / "bench.prof"
-        code = main(
-            [
-                "bench",
-                "--smoke",
-                "--tag",
-                "prof",
-                "--output",
-                str(tmp_path),
-                "--profile",
-                "--profile-out",
-                str(out_file),
-            ]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "profile: top" in out
-        assert "cumtime" in out
-        assert out_file.is_file()
+    def test_cli_profile_prints_table_and_writes_stats(self, cli_run):
         import pstats
 
-        pstats.Stats(str(out_file))  # the dump must be loadable
+        code, out, _, work = cli_run
+        assert code == 0
+        assert "profile: top" in out
+        assert "cumtime" in out
+        assert (work / "bench.prof").is_file()
+        pstats.Stats(str(work / "bench.prof"))  # the dump must be loadable

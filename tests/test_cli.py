@@ -349,15 +349,29 @@ class TestAnalyzeCommand:
         assert "at least one source" in capsys.readouterr().err
 
     def test_empty_store_reports_no_records(self, tmp_path, capsys):
+        assert main(["store", "info", "--store", str(tmp_path / "fresh")]) == 0
+        capsys.readouterr()
         assert main(["analyze", "--store", str(tmp_path / "fresh")]) == 1
         assert "no records found" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("existing", [False, True], ids=["missing", "empty-dir"])
+    def test_store_typo_is_an_error_that_creates_nothing(self, tmp_path, capsys, existing):
+        typo = tmp_path / "stroe"
+        if existing:
+            typo.mkdir()
+        before = sorted(tmp_path.rglob("*"))
+        assert main(["analyze", "--store", str(typo)]) == 1
+        err = capsys.readouterr().err
+        assert str(typo) in err and "not a result store" in err
+        assert sorted(tmp_path.rglob("*")) == before
 
 
 class TestBenchCompareFlag:
     def test_parser_accepts_compare(self):
         args = build_parser().parse_args(["bench", "--smoke", "--compare", "PREV.json"])
         assert args.compare == "PREV.json"
-        assert args.objective == "throughput"
+        # The sweep-shaping knobs belong to `sweep`, not to the bench.
+        assert not {"objective", "chunk", "flush_every"} & set(vars(args))
 
     def test_missing_compare_file_errors(self, capsys, tmp_path):
         exit_code = main([

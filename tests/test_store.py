@@ -280,6 +280,45 @@ class TestEngineStoreTier:
         assert engine.run(scenario).result == outcome.result  # memory tier still works
         assert len(store) == 0
 
+    @pytest.mark.parametrize("path", ["run", "run_iter"])
+    def test_failing_index_write_degrades_to_memory(
+        self, tmp_path, tiny_soc, tiny_cell, monkeypatch, path
+    ):
+        """An SQLite failure on the index write is a StoreError the engine absorbs."""
+        from repro.bench.runner import sweep_digest
+        from repro.core.exceptions import StoreError
+
+        class FullIndex:
+            """The store's real connection, except that inserts fail."""
+
+            def __init__(self, real):
+                self._real = real
+
+            def executemany(self, *args, **kwargs):
+                raise sqlite3.OperationalError("database or disk is full")
+
+            def __getattr__(self, name):
+                return getattr(self._real, name)
+
+        grid = Scenario.sweep(tiny_soc, tiny_cell, channels=[32, 48, 64])
+        store = PackedResultStore(tmp_path)
+        real_connect = store._connect
+        monkeypatch.setattr(store, "_connect", lambda: FullIndex(real_connect()))
+        with pytest.raises(StoreError, match="database or disk is full"):
+            store.put(grid[0], Engine().run(grid[0]).result)
+
+        engine = Engine(store=store)
+        if path == "run":
+            results = [engine.run(scenario) for scenario in grid]
+        else:
+            results = list(engine.run_iter(grid, workers=1))
+        assert sweep_digest(results) == sweep_digest(Engine().run_batch(grid))
+        assert engine.cache_info().misses == len(grid)
+        assert len(store) == 0
+        monkeypatch.undo()
+        store.put(grid[0], results[0].result)  # no transaction was left open
+        assert len(store) == 1
+
     def test_cli_reports_bad_store_path_as_error(self, capsys):
         from repro.cli import main
 
