@@ -11,6 +11,7 @@ makes the d695 grid alone nearly as cheap as decoding it).
 
 from __future__ import annotations
 
+import gc
 import time
 
 from repro.api.engine import Engine
@@ -28,6 +29,10 @@ from conftest import run_once
 def _timed_sweep(store: PackedResultStore):
     grid = bench_sweep_grid() + synthetic_sweep_grid(smoke=True)
     engine = Engine(store=store)
+    # Start from a collected heap, so the leg pays only for the collections
+    # its own allocations trigger, not for a full collection that garbage
+    # left by earlier tests in the session makes due.
+    gc.collect()
     started = time.perf_counter()
     results = engine.run_batch(grid)
     return time.perf_counter() - started, results, engine.cache_info()

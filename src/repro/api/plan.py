@@ -8,14 +8,13 @@ serves two ends at once:
   scenario graph, one result message) carries ``chunk_size`` scenarios
   instead of one, so orchestration overhead per scenario drops by about
   the chunk size;
-* **memo locality** -- scenarios are grouped by their *structural
+* **cache locality** -- scenarios are grouped by their *structural
   fingerprint* (the resolved SOC, the optimisation config, the solver,
-  plus any non-default objective or solver options -- exactly the prefix
-  of the canonical key that the per-process evaluation-kernel memo is
-  sensitive to), so every scenario in a chunk hits the same kernel memo
-  state in its worker process.  Scenarios in one chunk differ only in
-  their test cell (channels, depth), which is what the batch kernel
-  amortises best.
+  plus any non-default objective or solver options: the canonical key
+  minus the test cell), so every scenario in a chunk reuses the same
+  per-process SOC build and module test-time curves in its worker.
+  Scenarios in one chunk differ only in their test cell (channels,
+  depth).
 
 The plan's only reordering is this grouping: **plan order is a
 permutation of grid order** (asserted by the test suite), and because the
@@ -91,8 +90,9 @@ def structure_key(canonical_key: tuple) -> tuple:
     Everything except the test cell (the key's second element): the
     resolved SOC, the optimisation config, the solver name, and -- when
     the key carries them -- the non-default objective and solver options.
-    Two scenarios with equal structure keys exercise the same per-process
-    kernel memo entries and differ only in their ATE operating point.
+    Two scenarios with equal structure keys read the same per-process SOC
+    and module test-time curves and differ only in their ATE operating
+    point.
     """
     return (canonical_key[0],) + tuple(canonical_key[2:])
 

@@ -12,16 +12,18 @@ list holds one row per timed leg::
 experiment or solver run); ``counters`` holds the engine's
 :class:`~repro.api.engine.CacheInfo` (``cache``) and the delta of the
 evaluation kernel's counters (``kernel``,
-:func:`repro.solvers.evaluate.cache_info`) over the leg; ``digest`` is a
-SHA-256 over the leg's exact results, so two rows with equal digests
-produced bit-identical values.  The legs:
+:func:`repro.solvers.evaluate.cache_info`) over the leg -- omitted on legs
+run on a process pool, whose workers' counters never reach this process;
+``digest`` is a SHA-256 over the leg's exact results, so two rows with
+equal digests produced bit-identical values.  The legs:
 
 * ``experiment <name>`` -- each registered experiment
   (:mod:`repro.experiments.registry`) through its own engine;
 * ``solver <name>`` -- each registered solver backend on the reference
-  d695 operating point (256 channels x 64 K vectors); a backend that
-  cannot handle it (the exhaustive oracle on a 10-module SOC) is a
-  skipped row, not a failure;
+  d695 operating point (256 channels x 64 K vectors), on a store-less
+  engine (the leg times the backend, and must not seed the store the
+  ``sweep d695`` leg reads); a backend that cannot handle it (the
+  exhaustive oracle on a 10-module SOC) is a skipped row, not a failure;
 * ``sweep d695`` -- the d695 design-space sweep, the workload a
   persistent ``store`` amortises across runs;
 * ``synthetic sweep`` -- a cold synthetic-family sweep (caches cleared,
@@ -157,21 +159,18 @@ def clear_computation_caches() -> None:
     """Drop every process-wide computation cache.
 
     Cold-path timings are only meaningful when earlier work in the same
-    process cannot leak in through the evaluation kernel's memo, the
-    wrapper test-time caches, the lower-bound certificate cache or the
-    SOC-build caches (synthetic family members, parsed ITC'02 benchmarks,
-    the PNX8550 model).  The bench's cold legs (and the store benchmark
-    tests) call this before timing; persistent stores are untouched --
-    store warmth is a property of the directory, not the process.
-    The kernel's cumulative counters are kept -- dropping only the memo
-    means the report's per-section counter deltas never go backwards.
+    process cannot leak in through the wrapper test-time caches, the
+    lower-bound certificate cache or the SOC-build caches (synthetic family
+    members, parsed ITC'02 benchmarks, the PNX8550 model).  The bench's
+    cold legs (and the store benchmark tests) call this before timing;
+    persistent stores are untouched -- store warmth is a property of the
+    directory, not the process.
     """
     from repro.itc02 import registry
     from repro.soc import catalog, pnx8550
     from repro.solvers import bounds
     from repro.wrapper import combine
 
-    evaluate_kernel.drop_memo()
     for cache in (
         combine.module_test_time,
         combine.module_curve,
@@ -198,22 +197,27 @@ def _kernel_delta(
 
 
 def timed_section(
-    name: str, work: Callable[[], Any], engine: Engine | None = None
+    name: str,
+    work: Callable[[], Any],
+    engine: Engine | None = None,
+    workers: int | None = None,
 ) -> tuple[dict[str, Any], Any]:
     """Run ``work()`` once, timed; return its section row and its value.
 
     The row counts one op and carries no digest; callers that know the
     workload size or can hash the value fill ``ops`` and ``digest`` in.
     ``engine``'s cache statistics, read after the run, go under
-    ``counters["cache"]``.
+    ``counters["cache"]``.  The kernel counter delta goes under
+    ``counters["kernel"]`` unless ``workers`` > 1: pool workers count in
+    their own processes, so this process's delta would be a false zero.
     """
     kernel_before = evaluate_kernel.cache_info()
     started = time.perf_counter()
     value = work()
     seconds = time.perf_counter() - started
-    counters: dict[str, Any] = {
-        "kernel": _kernel_delta(kernel_before, evaluate_kernel.cache_info())
-    }
+    counters: dict[str, Any] = {}
+    if workers is None or workers <= 1:
+        counters["kernel"] = _kernel_delta(kernel_before, evaluate_kernel.cache_info())
     if engine is not None:
         counters["cache"] = asdict(engine.cache_info())
     row = {"name": name, "ops": 1, "seconds": seconds, "counters": counters, "digest": None}
@@ -224,7 +228,9 @@ def _batch_section(
     name: str, engine: Engine, grid: Sequence[Scenario], **run_options: Any
 ) -> dict[str, Any]:
     """Time ``engine.run_batch(grid)`` as one section over ``len(grid)`` ops."""
-    row, results = timed_section(name, lambda: engine.run_batch(grid, **run_options), engine)
+    row, results = timed_section(
+        name, lambda: engine.run_batch(grid, **run_options), engine, run_options.get("workers")
+    )
     row.update(ops=len(grid), digest=results_digest(results))
     return row
 
@@ -246,7 +252,7 @@ def _bench_experiments(
 SA_BENCH_KNOBS = {"temperature": 0.5, "cooling": 0.7, "moves_per_temp": 10}
 
 
-def _bench_solvers(store: PackedResultStore | None) -> list[dict[str, Any]]:
+def _bench_solvers() -> list[dict[str, Any]]:
     """Time each registered solver backend on the reference d695 point."""
     cell = reference_test_cell(channels=256, depth_m=0.0625)
     rows: list[dict[str, Any]] = []
@@ -254,7 +260,7 @@ def _bench_solvers(store: PackedResultStore | None) -> list[dict[str, Any]]:
         scenario = Scenario(soc="d695", test_cell=cell, solver=name)
         if name == "simulated_annealing":
             scenario = scenario.with_solver_options(**SA_BENCH_KNOBS)
-        engine = Engine(store=store)
+        engine = Engine()
         try:
             row, outcome = timed_section(f"solver {name}", lambda: engine.run(scenario), engine)
         except ReproError as error:
@@ -430,8 +436,8 @@ def run_bench(
         Label baked into the report (and its file name); defaults to
         :func:`default_tag`.
     store:
-        Optional persistent result store shared by the experiment, solver
-        and d695 sweep engines.  On a cold (empty) store the bench seeds
+        Optional persistent result store shared by the experiment and
+        d695 sweep engines.  On a cold (empty) store the bench seeds
         it; rerunning against the same directory times the warm path and
         must reproduce the same ``sweep d695`` digest.
     smoke:
@@ -454,7 +460,7 @@ def run_bench(
     started = time.perf_counter()
     sections = [
         *_bench_experiments(SMOKE_EXPERIMENTS if smoke else experiment_names(), store),
-        *_bench_solvers(store),
+        *_bench_solvers(),
         _batch_section(
             "sweep d695",
             Engine(store=store, workers=workers),

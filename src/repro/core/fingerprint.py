@@ -1,14 +1,16 @@
-"""Cached structural fingerprints for frozen kernel-key dataclasses.
+"""Cached structural fingerprints for frozen cache-key dataclasses.
 
-The evaluation kernel (:mod:`repro.solvers.evaluate`) memoises points on
-tuples of frozen dataclasses -- architecture, SOC, modules, test-cell specs.
-A generated dataclass ``__hash__`` re-walks every nested field tuple on
-every lookup, which profiling shows dominates hot sweeps (millions of
-``hash`` calls for a few thousand distinct objects).  The kernel-key
-classes therefore define ``__hash__`` explicitly: the structural hash is
-computed once, stored on the instance under :data:`FINGERPRINT_SLOT` via
-``object.__setattr__`` (legal on frozen dataclasses), and every later
-lookup hashes a precomputed int.
+The caches of the solve path key on frozen dataclasses -- modules for the
+test-time curves, SOC and test-cell specs for the certificate cache and the
+engine's canonical keys, architectures for the simulated-annealing point
+memo (:class:`repro.solvers.evaluate.PointMemo`).  A generated dataclass
+``__hash__`` re-walks every nested field tuple on every lookup, which
+profiling shows dominates hot sweeps (millions of ``hash`` calls for a few
+thousand distinct objects).  The cache-key classes therefore define
+``__hash__`` explicitly: the structural hash is computed once, stored on
+the instance under :data:`FINGERPRINT_SLOT` via ``object.__setattr__``
+(legal on frozen dataclasses), and every later lookup hashes a
+precomputed int.
 
 Two hazards shape the design:
 

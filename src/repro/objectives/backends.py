@@ -6,8 +6,9 @@ Every backend evaluates one fully-specified multi-site configuration (a
 :class:`~repro.ate.spec.AteSpec`) into a single float; the
 :class:`~repro.objectives.registry.ObjectiveSpec` records whether larger or
 smaller is better.  All four backends are deterministic functions of their
-inputs, so the shared evaluation kernel can memoise them like any other
-``(design, sites)`` computation.
+inputs, so equal ``(design, sites)`` points always get equal values --
+which is what lets the engine, the store and a simulated-annealing run's
+point memo cache them.
 
 The cost objective prices ATE capacity at the paper's Section-7 street
 prices (:class:`~repro.ate.pricing.AtePricing` defaults).  The pricing

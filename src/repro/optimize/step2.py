@@ -12,10 +12,9 @@ In the registry layering this module is shared infrastructure, not an entry
 point: solver backends (:mod:`repro.solvers.goel05`,
 :mod:`repro.solvers.restart`) call :func:`run_step2` on their Step-1
 candidates, and the figure experiments call :func:`step1_only_throughput`
-for the paper's reference curves.  Per-point evaluation goes through the
-shared memoized kernel in :mod:`repro.solvers.evaluate`, so repeated
-``(design, sites)`` points -- within one sweep or across experiments and
-solver backends -- are computed once per process.
+for the paper's reference curves.  Evaluation goes through the kernel in
+:mod:`repro.solvers.evaluate`, which widens the design once per distinct
+per-site channel budget and builds the :class:`SitePoint` rows directly.
 """
 
 from __future__ import annotations
@@ -23,18 +22,7 @@ from __future__ import annotations
 from repro.core.exceptions import ConfigurationError
 from repro.objectives.registry import DEFAULT_OBJECTIVE, get_objective
 from repro.optimize.result import SitePoint, Step1Result, TwoStepResult
-from repro.solvers.evaluate import EvaluatedPoint, evaluate_batch, evaluate_points
-
-
-def _site_point(point: EvaluatedPoint) -> SitePoint:
-    """Adapt a kernel :class:`EvaluatedPoint` to the Step-2 result shape."""
-    return SitePoint(
-        sites=point.sites,
-        channels_per_site=point.architecture.ate_channels,
-        architecture=point.architecture,
-        scenario=point.scenario,
-        throughput=point.objective,
-    )
+from repro.solvers.evaluate import evaluate_point, evaluate_points
 
 
 def evaluate_site_count(
@@ -50,7 +38,7 @@ def evaluate_site_count(
     single-point shim over the batch kernel's
     :func:`~repro.solvers.evaluate.evaluate_points`.
     """
-    return _site_point(evaluate_points(step1, (sites,), objective)[0])
+    return evaluate_points(step1, (sites,), objective)[0]
 
 
 def step1_only_throughput(
@@ -63,13 +51,9 @@ def step1_only_throughput(
     """
     if sites <= 0:
         raise ConfigurationError(f"site count must be positive, got {sites}")
-    return evaluate_batch(
-        [(step1.architecture, sites)],
-        step1.ate,
-        step1.probe_station,
-        step1.config,
-        objective,
-    )[0].objective
+    return evaluate_point(
+        step1.architecture, sites, step1.ate, step1.probe_station, step1.config, objective
+    ).objective
 
 
 def run_step2(step1: Step1Result, objective: str = DEFAULT_OBJECTIVE) -> TwoStepResult:
@@ -86,7 +70,7 @@ def run_step2(step1: Step1Result, objective: str = DEFAULT_OBJECTIVE) -> TwoStep
     The whole range is evaluated in one pass through the batch kernel
     (:func:`~repro.solvers.evaluate.evaluate_points`): the descending
     search order makes the incremental channel redistribution exact, so
-    each site count only widens the previous architecture.
+    each budget plateau only widens the previous plateau's architecture.
     """
     spec = get_objective(objective)
     config = step1.config
@@ -99,7 +83,6 @@ def run_step2(step1: Step1Result, objective: str = DEFAULT_OBJECTIVE) -> TwoStep
             f"no feasible site count: search range [{lower}, {upper}] is empty"
         )
 
-    evaluated = evaluate_points(step1, range(upper, lower - 1, -1), objective)
-    points = tuple(_site_point(point) for point in evaluated)
+    points = evaluate_points(step1, range(upper, lower - 1, -1), objective)
     best = max(points, key=lambda point: (spec.signed(point.throughput), point.sites))
     return TwoStepResult(step1=step1, points=points, best=best)

@@ -11,7 +11,7 @@ This package splits the optimisation stack into three explicit layers:
   ``"exhaustive"`` (exact partition enumeration for small SOCs, the
   correctness oracle) and ``"restart"`` (deterministic randomized
   multi-start greedy), each registered with :func:`register_solver`;
-* **evaluation kernel** (:mod:`repro.solvers.evaluate`) -- the memoized
+* **evaluation kernel** (:mod:`repro.solvers.evaluate`) -- the
   per-``(design, sites)`` throughput/economics evaluation shared by Step 2,
   the experiments and every backend.
 
@@ -23,8 +23,7 @@ solvers`` lists what is registered.
 from repro.solvers.evaluate import (
     EvaluatedPoint,
     KernelCacheInfo,
-    evaluate_batch,
-    evaluate_move,
+    PointMemo,
     evaluate_point,
     evaluate_points,
     objective_value,
@@ -46,11 +45,10 @@ __all__ = [
     "DEFAULT_SOLVER",
     "EvaluatedPoint",
     "KernelCacheInfo",
+    "PointMemo",
     "Solver",
     "SolverSolution",
     "TestInfraProblem",
-    "evaluate_batch",
-    "evaluate_move",
     "evaluate_point",
     "evaluate_points",
     "get_solver",

@@ -5,16 +5,17 @@ the paper's constructive assignment can produce.  This backend searches the
 design space directly: starting from the paper's Step-1 design it walks
 over ``(architecture, sites)`` states with a small move set, accepting
 worsening moves with the classic Metropolis probability under a
-geometrically cooled temperature.  Every state evaluation goes through the
-shared kernel (:mod:`repro.solvers.evaluate`): width moves use
-:func:`~repro.solvers.evaluate.evaluate_move` (so undoing a move is a memo
-hit) and the final packaging of the best partitions found uses the same
-Step-2 sweep as every other backend.
+geometrically cooled temperature.  Every state evaluation goes through one
+per-run :class:`~repro.solvers.evaluate.PointMemo` of the kernel
+(:mod:`repro.solvers.evaluate`), shared by all chains of the run, so a
+revisited state -- an undone width move above all -- is served, not
+recomputed.  The final packaging of the best partitions found uses the
+same Step-2 sweep as every other backend.
 
 Moves
 -----
 * **width**: grow or shrink one channel group by one TAM wire
-  (:func:`~repro.solvers.evaluate.evaluate_move`);
+  (:meth:`~repro.solvers.evaluate.PointMemo.move`);
 * **reassign**: move one module into another -- or a brand new -- channel
   group, re-minimising the affected groups' widths;
 * **swap**: exchange two modules between their channel groups;
@@ -53,7 +54,7 @@ from repro.optimize.step1 import step1_result_from_architecture
 from repro.optimize.step2 import run_step2
 from repro.soc.module import Module
 from repro.soc.soc import Soc
-from repro.solvers.evaluate import EvaluatedPoint, evaluate_move, evaluate_point
+from repro.solvers.evaluate import EvaluatedPoint, PointMemo
 from repro.solvers.exhaustive import _minimal_group
 from repro.solvers.problem import TestInfraProblem
 from repro.solvers.registry import register_solver
@@ -192,10 +193,12 @@ class _Chain:
         start: TestArchitecture,
         rng: DeterministicRng,
         widths: dict[str, int],
+        memo: PointMemo,
     ) -> None:
         self.problem = problem
         self.rng = rng
         self.widths = widths
+        self.memo = memo
         self.soc = problem.soc
         self.modules = problem.soc.modules
         config = problem.config
@@ -209,19 +212,12 @@ class _Chain:
                 f"configured minimum of {lower}"
             )
         self.min_sites = lower
-        self.current = self._evaluate(start, upper)
+        self.current = memo.point(start, upper)
         self.best = self.current
 
     # ------------------------------------------------------------------
-    # State evaluation and bookkeeping
+    # State bookkeeping
     # ------------------------------------------------------------------
-    def _evaluate(self, architecture: TestArchitecture, sites: int) -> EvaluatedPoint:
-        problem = self.problem
-        return evaluate_point(
-            architecture, sites, problem.ate, problem.probe_station,
-            problem.config, problem.objective,
-        )
-
     def _site_cap(self, architecture: TestArchitecture) -> int:
         cap = max_sites(
             self.problem.ate.channels, architecture.ate_channels, self.problem.config.broadcast
@@ -246,7 +242,7 @@ class _Chain:
         module = self.modules[self.rng.randint(0, len(self.modules) - 1)]
         delta = 1 if self.rng.randint(0, 1) else -1
         try:
-            candidate = evaluate_move(self.current, module, delta)
+            candidate = self.memo.move(self.current, module, delta)
         except ConfigurationError:  # width would drop to zero
             return None
         if not self._budget_ok(candidate.architecture, candidate.sites):
@@ -297,7 +293,7 @@ class _Chain:
         sites = min(self.current.sites, cap)
         if not self._budget_ok(architecture, sites):
             return None
-        return self._evaluate(architecture, sites)
+        return self.memo.point(architecture, sites)
 
     def _propose_sites(self) -> EvaluatedPoint | None:
         delta = 1 if self.rng.randint(0, 1) else -1
@@ -306,7 +302,7 @@ class _Chain:
             return None
         if not self._budget_ok(self.current.architecture, sites):
             return None
-        return self._evaluate(self.current.architecture, sites)
+        return self.memo.point(self.current.architecture, sites)
 
     _MOVES = ("width", "reassign", "swap", "sites")
 
@@ -390,6 +386,7 @@ def solve_annealed(
     widths = minimum_widths(soc, ate.depth, width_budget)
 
     rng = DeterministicRng(seed)
+    memo = PointMemo(ate, problem.probe_station, config, problem.objective)
     candidates: list[TestArchitecture] = []
     first_error: InfeasibleDesignError | None = None
 
@@ -402,7 +399,7 @@ def solve_annealed(
             else:
                 order = tuple(rng.shuffled(soc.modules))
                 start = assign_modules(soc, order, widths, ate.channels, ate.depth)
-            chain = _Chain(problem, start, rng, widths)
+            chain = _Chain(problem, start, rng, widths, memo)
         except InfeasibleDesignError as error:
             first_error = first_error or error
             continue

@@ -12,8 +12,8 @@ how the SOC was referenced or which process computed it).
 The store is the third caching tier of the system, and the only one that
 survives the process:
 
-1. the per-process evaluation kernel (:mod:`repro.solvers.evaluate`)
-   memoises ``(design, sites)`` points;
+1. a simulated-annealing run memoises the ``(design, sites)`` points it
+   revisits (:class:`repro.solvers.evaluate.PointMemo`);
 2. the :class:`~repro.api.engine.Engine` memoises whole scenario results
    in memory;
 3. the packed store memoises scenario results **on disk**, amortising

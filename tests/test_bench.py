@@ -150,6 +150,10 @@ class TestReportShape:
         # The default-objective grid keeps its pre-objective scenario keys.
         assert all(len(s.canonical_key()) == 4 for s in bench_sweep_grid(smoke=True))
         assert sweep["counters"]["kernel"]["misses"] >= 0
+        # The store is fresh and no earlier leg writes to it a point of
+        # this sweep: the cold sweep computes every scenario.
+        assert sweep["counters"]["cache"]["store_hits"] == 0
+        assert sweep["counters"]["cache"]["misses"] == sweep["ops"]
 
     def test_analysis_row(self, smoke_reports):
         cold, _ = smoke_reports
@@ -380,20 +384,47 @@ class TestCompareReports:
 
 
 class TestKernelCounters:
-    def test_every_section_records_kernel_counters(self, smoke_reports):
+    def test_in_process_sections_record_kernel_counters(self, smoke_reports):
+        # The smoke fanout legs run on a 2-worker pool, whose kernel
+        # counters never reach this process: those rows carry none.
         cold, _ = smoke_reports
         for row in cold["sections"]:
-            if "skipped" not in row:
+            if "skipped" in row:
+                continue
+            if row["name"].startswith("fanout "):
+                assert "kernel" not in row["counters"]
+            else:
                 assert set(row["counters"]["kernel"]) == KERNEL_FIELDS
         assert _rows(cold)["synthetic sweep"]["counters"]["kernel"]["misses"] > 0
         assert cold["counters"]["kernel"]["batch_calls"] > 0
 
     def test_summary_prints_kernel_totals(self, smoke_reports):
         cold, _ = smoke_reports
-        text = summarize_report(cold)
-        assert "evaluate kernel:" in text
-        assert "synthetic sweep" in text
-        assert "kernel misses" in text
+        lines = summarize_report(cold).splitlines()
+        assert any(line.startswith("  evaluate kernel:") for line in lines)
+        sweep = next(line for line in lines if line.startswith("  synthetic sweep"))
+        assert "kernel misses" in sweep
+        fanout = [line for line in lines if line.startswith("  fanout ")]
+        assert len(fanout) == 2
+        assert not any("kernel" in line for line in fanout)
+
+    def test_summary_omits_kernel_for_pool_rows(self):
+        serial = _row("sweep d695", 4, 0.1)
+        serial["counters"] = {"kernel": dict.fromkeys(KERNEL_FIELDS, 3)}
+        pooled = _row("fanout w=2 chunk=1", 16, 0.1)
+        pooled["counters"] = {"plan": {"chunks": 16}}
+        lines = summarize_report(_report([serial, pooled])).splitlines()
+        assert "kernel misses 3" in next(line for line in lines if "sweep d695" in line)
+        pool_line = next(line for line in lines if "fanout" in line)
+        assert "kernel" not in pool_line and "chunks 16" in pool_line
+
+    def test_pool_legs_record_no_kernel_delta(self):
+        from repro.bench.runner import timed_section
+
+        serial, _ = timed_section("serial", lambda: None, workers=1)
+        pooled, _ = timed_section("pooled", lambda: None, workers=2)
+        assert set(serial["counters"]["kernel"]) == KERNEL_FIELDS
+        assert pooled["counters"] == {}
 
 
 class TestClearComputationCaches:

@@ -1,17 +1,24 @@
 """Equivalence of the evaluation kernel's fast paths and their references.
 
-The kernel (:mod:`repro.solvers.evaluate`) memoises points, widens Step-2
-architectures incrementally and serves batches from one memo; ``repro all``
-digests and store records depend on it producing *exactly* the bytes of
-plain per-point evaluation.  This suite pins that promise:
+The kernel (:mod:`repro.solvers.evaluate`) widens Step-2 architectures
+incrementally, once per budget plateau, and builds the Step-2 rows from
+one timing per plateau; ``repro all`` digests and store records depend on
+it producing *exactly* the bytes of plain per-point evaluation.  This
+suite pins that promise:
 
-* batch evaluation (memo probe plus incremental widening) equals per-point
-  scalar evaluation across SOCs, objectives, broadcast modes and yield
-  settings (``==`` on floats, no tolerance);
+* batch evaluation equals per-point scalar evaluation across SOCs,
+  objectives, broadcast modes and yield settings (``==`` on floats, no
+  tolerance);
+* the per-plateau rows equal a from-scratch per-point reference (the
+  Step-1 design widened straight to each budget) on random site
+  sub-ranges, rows on one plateau share one architecture, every row
+  keeps Step 1's SOC object, and one call widens exactly once per
+  distinct budget and computes each distinct site count once;
 * the incremental Step-2 widening equals from-scratch widening for every
   site count;
-* :func:`~repro.solvers.evaluate.evaluate_move` equals a full
-  re-evaluation for random single-module width moves;
+* a width move through a per-run :class:`~repro.solvers.evaluate.
+  PointMemo` equals a full re-evaluation for random single-module moves,
+  and undoing a move is a hit;
 * the fast wrapper test time equals the full
   :func:`~repro.wrapper.combine.design_wrapper` construction, and the
   closed-form partition helpers equal their brute-force references;
@@ -88,7 +95,7 @@ def _step1_for(soc_name, broadcast=False, **config_kwargs):
 
 
 def _scalar_points(step1, site_counts, objective):
-    """Per-point scalar evaluation, bypassing the kernel and its memo."""
+    """Per-point scalar evaluation, bypassing the kernel."""
     from repro.objectives.registry import get_objective
 
     spec = get_objective(objective)
@@ -109,6 +116,13 @@ def _scalar_points(step1, site_counts, objective):
     return values
 
 
+def _kernel_point(step1, sites):
+    """The kernel's :class:`EvaluatedPoint` of the Step-1 design at ``sites``."""
+    return kernel.evaluate_point(
+        step1.architecture, sites, step1.ate, step1.probe_station, step1.config
+    )
+
+
 class TestBatchEqualsScalar:
     @pytest.mark.parametrize("soc_name", SOC_NAMES)
     @pytest.mark.parametrize("broadcast", [False, True])
@@ -116,10 +130,9 @@ class TestBatchEqualsScalar:
         step1 = _step1_for(soc_name, broadcast=broadcast)
         site_counts = list(range(step1.max_sites, 0, -1))
         for objective in objective_names():
-            kernel.clear_cache()
             batch = kernel.evaluate_points(step1, site_counts, objective)
             scalar = _scalar_points(step1, site_counts, objective)
-            assert [point.objective for point in batch] == scalar, objective
+            assert [point.throughput for point in batch] == scalar, objective
 
     @pytest.mark.parametrize(
         "config_kwargs",
@@ -136,14 +149,12 @@ class TestBatchEqualsScalar:
     def test_yield_and_retest_variants_bit_identical(self, config_kwargs):
         step1 = _step1_for("d695", **config_kwargs)
         site_counts = list(range(step1.max_sites, 0, -1))
-        kernel.clear_cache()
         batch = kernel.evaluate_points(step1, site_counts)
         scalar = _scalar_points(step1, site_counts, "throughput")
-        assert [point.objective for point in batch] == scalar
+        assert [point.throughput for point in batch] == scalar
 
     def test_batch_and_scalar_entry_points_share_results(self):
         step1 = _step1_for("d695")
-        kernel.clear_cache()
         batched = kernel.evaluate_points(step1, range(step1.max_sites, 0, -1))
         for point in batched:
             again = kernel.evaluate_point(
@@ -153,8 +164,117 @@ class TestBatchEqualsScalar:
                 step1.probe_station,
                 step1.config,
             )
-            assert again.objective == point.objective
+            assert again.objective == point.throughput
             assert again.scenario == point.scenario
+
+
+#: Optimisation-config variants the per-plateau pins run under.
+PLATEAU_CONFIGS = (
+    {},
+    {"abort_on_fail": True, "manufacturing_yield": 0.85},
+    {"objective": Objective.UNIQUE_THROUGHPUT},
+    {"objective": Objective.UNIQUE_THROUGHPUT, "abort_on_fail": True},
+)
+
+
+def _random_site_ranges(step1, rng, count=4):
+    """Seeded site sub-ranges: non-contiguous, unsorted, with repeats."""
+    ranges = []
+    for _ in range(count):
+        size = rng.randint(1, 2 * step1.max_sites)
+        ranges.append([rng.randint(1, step1.max_sites) for _ in range(size)])
+    return ranges
+
+
+def _reference_row(step1, sites, spec):
+    """From-scratch reference: widen the Step-1 design straight to the budget."""
+    budget = max_channels_per_site(step1.ate.channels, sites, step1.config.broadcast)
+    architecture = widen_to_channel_budget(step1.architecture, budget)
+    scenario = kernel.scenario_for(
+        architecture, sites, step1.ate, step1.probe_station, step1.config
+    )
+    return architecture, scenario, spec.value(scenario, step1.config, step1.ate)
+
+
+class TestPlateauRows:
+    @pytest.mark.parametrize("soc_name", SOC_NAMES)
+    @pytest.mark.parametrize("broadcast", [False, True])
+    @pytest.mark.parametrize("config_kwargs", PLATEAU_CONFIGS)
+    def test_rows_equal_from_scratch_reference(self, soc_name, broadcast, config_kwargs):
+        from repro.objectives.registry import get_objective
+
+        step1 = _step1_for(soc_name, broadcast=broadcast, **config_kwargs)
+        rng = random.Random(f"{soc_name}/{broadcast}/{sorted(config_kwargs.items())}")
+        for site_counts in _random_site_ranges(step1, rng):
+            for objective in objective_names():
+                spec = get_objective(objective)
+                rows = kernel.evaluate_points(step1, site_counts, objective)
+                assert [row.sites for row in rows] == site_counts
+                for row in rows:
+                    architecture, scenario, value = _reference_row(step1, row.sites, spec)
+                    assert row.throughput == value, (objective, row.sites)
+                    assert row.scenario == scenario
+                    assert row.architecture == architecture
+                    assert row.channels_per_site == architecture.ate_channels
+
+    @pytest.mark.parametrize("soc_name", SOC_NAMES)
+    @pytest.mark.parametrize("broadcast", [False, True])
+    def test_plateau_rows_share_one_architecture(self, soc_name, broadcast):
+        step1 = _step1_for(soc_name, broadcast=broadcast)
+        rows = kernel.evaluate_points(step1, range(step1.max_sites, 0, -1))
+        by_budget = {}
+        for row in rows:
+            assert row.architecture.soc is step1.architecture.soc
+            budget = max_channels_per_site(step1.ate.channels, row.sites, broadcast)
+            first = by_budget.setdefault(budget, row)
+            assert row.architecture is first.architecture
+            assert row.scenario.timing is first.scenario.timing
+        # A widening spends the whole (even) budget, so every larger budget
+        # widens again: one architecture object per plateau.
+        architectures = {id(row.architecture) for row in by_budget.values()}
+        assert len(architectures) == len(by_budget)
+
+    def test_repeated_site_count_returns_one_row(self):
+        step1 = _step1_for("d695")
+        rows = kernel.evaluate_points(step1, (2, 1, 2))
+        assert rows[0] is rows[2]
+
+
+class TestPlateauWorkCounters:
+    @pytest.mark.parametrize("soc_name", SOC_NAMES)
+    @pytest.mark.parametrize("broadcast", [False, True])
+    def test_one_widening_per_distinct_budget(self, soc_name, broadcast, monkeypatch):
+        step1 = _step1_for(soc_name, broadcast=broadcast)
+        calls = []
+
+        def counting(architecture, budget):
+            calls.append(budget)
+            return widen_to_channel_budget(architecture, budget)
+
+        monkeypatch.setattr(kernel, "widen_to_channel_budget", counting)
+        rng = random.Random(f"{soc_name}/{broadcast}")
+        for site_counts in [list(range(step1.max_sites, 0, -1))] + _random_site_ranges(
+            step1, rng
+        ):
+            del calls[:]
+            kernel.evaluate_points(step1, site_counts)
+            budgets = {
+                max_channels_per_site(step1.ate.channels, sites, broadcast)
+                for sites in site_counts
+            }
+            assert sorted(calls) == sorted(budgets)
+
+    def test_misses_grow_by_distinct_site_counts(self):
+        step1 = _step1_for("d695")
+        rng = random.Random(19)
+        for site_counts in _random_site_ranges(step1, rng, count=6):
+            before = kernel.cache_info()
+            kernel.evaluate_points(step1, site_counts)
+            after = kernel.cache_info()
+            assert after.misses - before.misses == len(set(site_counts))
+            assert after.batch_points - before.batch_points == len(site_counts)
+            assert after.batch_calls - before.batch_calls == 1
+            assert after.hits == before.hits
 
 
 class TestIncrementalWidening:
@@ -184,8 +304,8 @@ class TestEvaluateMove:
     @pytest.mark.parametrize("soc_name", SOC_NAMES)
     def test_move_equals_full_reevaluation(self, soc_name):
         step1 = _step1_for(soc_name)
-        kernel.clear_cache()
-        point = kernel.evaluate_points(step1, (step1.max_sites,))[0]
+        point = _kernel_point(step1, step1.max_sites)
+        memo = kernel.PointMemo(step1.ate, step1.probe_station, step1.config)
         rng = random.Random(1205)
         modules = list(point.architecture.soc.modules)
         for _ in range(20):
@@ -194,7 +314,7 @@ class TestEvaluateMove:
             width = point.architecture.group_of(module.name).width + delta
             if width <= 0:
                 continue
-            moved = kernel.evaluate_move(point, module, delta)
+            moved = memo.move(point, module, delta)
             reference_architecture = point.architecture.with_group_width(
                 point.architecture.group_of(module.name).index, width
             )
@@ -211,21 +331,26 @@ class TestEvaluateMove:
 
     def test_undoing_a_move_is_a_cache_hit(self):
         step1 = _step1_for("d695")
-        kernel.clear_cache()
-        point = kernel.evaluate_points(step1, (step1.max_sites,))[0]
+        memo = kernel.PointMemo(step1.ate, step1.probe_station, step1.config)
+        point = memo.point(step1.architecture, step1.max_sites)
         module = point.architecture.soc.modules[0]
-        there = kernel.evaluate_move(point, module, 1)
+        there = memo.move(point, module, 1)
+        assert there != point
         before = kernel.cache_info()
-        back = kernel.evaluate_move(there, module, -1)
+        back = memo.move(there, module, -1)
         after = kernel.cache_info()
-        assert back.objective == point.objective
+        assert back is point
         assert after.hits == before.hits + 1
         assert after.misses == before.misses
 
     def test_zero_delta_returns_same_point(self):
         step1 = _step1_for("d695")
-        point = kernel.evaluate_points(step1, (1,))[0]
-        assert kernel.evaluate_move(point, point.architecture.soc.modules[0], 0) is point
+        point = _kernel_point(step1, 1)
+        module = point.architecture.soc.modules[0]
+        memo = kernel.PointMemo(step1.ate, step1.probe_station, step1.config)
+        before = kernel.cache_info()
+        assert memo.move(point, module, 0) is point
+        assert kernel.cache_info() == before
 
 
 class TestFastWrapperTime:
@@ -295,9 +420,11 @@ class TestPartitionHelpers:
 
 class TestScenarioGridSanity:
     def test_sweep_scenarios_reproduce_after_kernel_clear(self):
-        # A whole engine-level scenario evaluated twice -- once against a
-        # cold kernel, once warm -- must give identical results.
+        # A whole engine-level scenario evaluated twice -- once against
+        # cleared computation caches, once warm -- must give identical
+        # results.
         from repro.api.engine import Engine
+        from repro.bench.runner import clear_computation_caches
 
         cell = reference_test_cell(channels=128, depth_m=0.0625)
         scenarios = Scenario.sweep(
@@ -307,7 +434,7 @@ class TestScenarioGridSanity:
             depths=[kilo_vectors(48), kilo_vectors(64)],
             broadcast=[False, True],
         )
-        kernel.clear_cache()
+        clear_computation_caches()
         cold = [Engine().run(s).result for s in scenarios]
         warm = [Engine().run(s).result for s in scenarios]
         assert cold == warm
@@ -319,10 +446,9 @@ class TestScenarioGridSanity:
         config = OptimizationConfig(broadcast=True)
         step1 = run_step1(soc, cell.ate, cell.probe_station, config)
         site_counts = list(range(step1.max_sites, 0, -1))
-        kernel.clear_cache()
         batch = kernel.evaluate_points(step1, site_counts, "cost_per_good_die")
         scalar = _scalar_points(step1, site_counts, "cost_per_good_die")
-        assert [point.objective for point in batch] == scalar
+        assert [point.throughput for point in batch] == scalar
 
 
 # ----------------------------------------------------------------------

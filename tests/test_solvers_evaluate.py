@@ -1,4 +1,4 @@
-"""Tests of the shared memoized evaluation kernel (``repro.solvers.evaluate``)."""
+"""Tests of the evaluation kernel (``repro.solvers.evaluate``)."""
 
 import pytest
 
@@ -39,42 +39,67 @@ class TestKernel:
         assert unique == pytest.approx(scenario.unique_throughput())
 
     def test_point_is_memoised(self, step1):
-        evaluate.clear_cache()
-        args = (step1.architecture, 3, step1.ate, step1.probe_station, step1.config)
-        first = evaluate.evaluate_point(*args)
+        memo = evaluate.PointMemo(step1.ate, step1.probe_station, step1.config)
+        first = memo.point(step1.architecture, 3)
         before = evaluate.cache_info()
-        second = evaluate.evaluate_point(*args)
+        second = memo.point(step1.architecture, 3)
         after = evaluate.cache_info()
         assert second is first
         assert after.hits == before.hits + 1
         assert after.misses == before.misses
+        # The memo belongs to its run: a plain evaluation computes afresh.
+        fresh = evaluate.evaluate_point(
+            step1.architecture, 3, step1.ate, step1.probe_station, step1.config
+        )
+        assert fresh == first and fresh is not first
+        assert evaluate.cache_info().misses == after.misses + 1
 
-    def test_step2_sweep_populates_the_kernel_cache(self, step1):
-        evaluate.clear_cache()
+    def test_memo_drops_the_oldest_point_past_its_cap(self, step1):
+        memo = evaluate.PointMemo(step1.ate, step1.probe_station, step1.config)
+        memo.max_points = 2
+        oldest = memo.point(step1.architecture, 1)
+        memo.point(step1.architecture, 2)
+        newest = memo.point(step1.architecture, 3)
+        assert len(memo) == 2
+        before = evaluate.cache_info()
+        assert memo.point(step1.architecture, 3) is newest
+        again = memo.point(step1.architecture, 1)
+        after = evaluate.cache_info()
+        assert again == oldest and again is not oldest
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses + 1)
+        assert len(memo) == 2
+
+    def test_step2_sweep_computes_every_point(self, step1):
+        before = evaluate.cache_info()
         result = run_step2(step1)
         info = evaluate.cache_info()
-        assert info.currsize >= len(result.points)
-        # Re-running the whole sweep is pure cache hits.
+        assert info.misses - before.misses == len(result.points)
+        assert info.batch_points - before.batch_points == len(result.points)
+        # No process-wide memo: re-running the sweep computes it again,
+        # to the same rows.
         rerun = run_step2(step1)
         assert rerun == result
-        assert evaluate.cache_info().misses == info.misses
+        assert evaluate.cache_info().misses - info.misses == len(result.points)
+        assert evaluate.cache_info().hits == info.hits
 
     def test_step1_only_throughput_uses_the_kernel(self, step1):
-        evaluate.clear_cache()
+        before = evaluate.cache_info()
         value = step1_only_throughput(step1, 1)
         assert value > 0
-        repeat = step1_only_throughput(step1, 1)
-        assert repeat == value
-        info = evaluate.cache_info()
-        assert info.hits >= 1
+        assert step1_only_throughput(step1, 1) == value
+        assert evaluate.cache_info().misses == before.misses + 2
 
     def test_distinct_designs_do_not_collide(self, tiny_soc, medium_soc, small_ate, probe):
-        evaluate.clear_cache()
         config = OptimizationConfig()
+        memo = evaluate.PointMemo(small_ate, probe, config)
         tiny_arch = design_architecture(tiny_soc, small_ate.channels, small_ate.depth)
         deep = small_ate.with_depth(131072)
         medium_arch = design_architecture(medium_soc, deep.channels, deep.depth)
-        a = evaluate.evaluate_point(tiny_arch, 2, small_ate, probe, config)
-        b = evaluate.evaluate_point(medium_arch, 2, deep, probe, config)
+        before = evaluate.cache_info()
+        a = memo.point(tiny_arch, 2)
+        b = memo.point(medium_arch, 2)
+        c = memo.point(tiny_arch, 1)
         assert a.objective != b.objective
-        assert evaluate.cache_info().misses == 2
+        assert c.sites == 1 and c is not a
+        assert evaluate.cache_info().misses == before.misses + 3
+        assert evaluate.cache_info().hits == before.hits

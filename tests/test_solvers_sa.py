@@ -137,35 +137,39 @@ class TestKnobParsing:
 
 class TestMoveReversibility:
     def test_width_move_apply_then_undo_is_identity(self, tiny_problem):
-        # The SA width move relies on the kernel memo: undoing a +1 width
-        # move must return to the exact starting point, served from cache.
+        # The SA width move goes through the run's point memo: undoing a +1
+        # width move must return to the exact starting point, served from
+        # the memo.
         step1 = solve("goel05", tiny_problem).result.step1
-        point = evaluate.evaluate_point(
-            step1.architecture, 1, step1.ate, step1.probe_station, step1.config
-        )
+        memo = evaluate.PointMemo(step1.ate, step1.probe_station, step1.config)
+        point = memo.point(step1.architecture, 1)
         module = tiny_problem.soc.modules[0]
 
-        moved = evaluate.evaluate_move(point, module, +1)
+        moved = memo.move(point, module, +1)
         assert moved.architecture.group_of(module.name).width == (
             point.architecture.group_of(module.name).width + 1
         )
 
         before = evaluate.cache_info()
-        back = evaluate.evaluate_move(moved, module, -1)
+        back = memo.move(moved, module, -1)
         after = evaluate.cache_info()
         assert back == point
         assert after.hits == before.hits + 1
         assert after.misses == before.misses
 
+    def test_annealing_run_serves_revisited_states(self, tiny_problem):
+        before = evaluate.cache_info()
+        solve_annealed(tiny_problem, cooling=0.7, moves_per_temp=20)
+        assert evaluate.cache_info().hits > before.hits
+
     def test_shrinking_below_one_wire_rejected(self, tiny_problem):
         step1 = solve("goel05", tiny_problem).result.step1
-        point = evaluate.evaluate_point(
-            step1.architecture, 1, step1.ate, step1.probe_station, step1.config
-        )
+        memo = evaluate.PointMemo(step1.ate, step1.probe_station, step1.config)
+        point = memo.point(step1.architecture, 1)
         module = tiny_problem.soc.modules[0]
         width = point.architecture.group_of(module.name).width
         with pytest.raises(ConfigurationError, match="positive"):
-            evaluate.evaluate_move(point, module, -width)
+            memo.move(point, module, -width)
 
 
 class TestSolveAnnealed:
