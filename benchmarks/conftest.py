@@ -1,9 +1,20 @@
 """Shared helpers for the benchmark harness.
 
-Every file in this directory regenerates one artefact of the paper's
-evaluation section (a table or a figure) under ``pytest-benchmark``:
+Every ``test_bench_*.py`` file in this directory regenerates one artefact
+of the paper's evaluation section (a table or a figure) under
+``pytest-benchmark``:
 
     pytest benchmarks/ --benchmark-only
+
+The ``wallclock_*.py`` files compare wall-clock times (batch vs serial,
+warm vs cold store, resume vs cold campaign, sidecar scan vs full
+decode), so their verdict depends on the host's speed and load.  Their
+names keep them out of default collection; run them by name:
+
+    pytest benchmarks/wallclock_*.py
+
+The properties behind those timings are pinned host-independently, with
+exact counters, in ``tests/``.
 
 Heavy experiments are run once per session (``rounds=1``); the regenerated
 rows/series are attached to the benchmark's ``extra_info`` so they appear in

@@ -46,8 +46,3 @@ def test_resumed_campaign_at_least_2x_faster(benchmark, tmp_path):
         f"resume {resume['seconds']:.3f}s ({speedup:.1f}x)"
     )
 
-
-def test_smoke_campaign_grid_collects():
-    """The smoke variant stays small (CI budget) but still interruptible."""
-    assert 4 <= len(campaign_grid(smoke=True)) <= 8
-    assert len(campaign_grid()) > len(campaign_grid(smoke=True))

@@ -37,7 +37,6 @@ from repro.store.packed import PackedResultStore
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.api.engine import ScenarioResult
-    from repro.optimize.result import TwoStepResult
 
 #: Callback type of the optional scan progress reporter: called with one
 #: human-readable line per unit of progress (segment scanned, decode batch).
@@ -120,20 +119,15 @@ class AnalysisRecord:
 
 def _record_from_result(outcome: "ScenarioResult") -> AnalysisRecord:
     scenario = outcome.scenario
-    result = outcome.result
     return AnalysisRecord(
-        key=scenario.key,
-        soc=scenario.soc_name,
-        solver=scenario.solver,
-        objective=scenario.objective,
-        channels=scenario.test_cell.ate.channels,
-        depth=scenario.test_cell.ate.depth,
-        broadcast=scenario.config.broadcast,
-        optimal_sites=result.optimal_sites,
-        channels_per_site=result.best.channels_per_site,
-        test_time_cycles=result.best.test_time_cycles,
-        value=result.optimal_throughput,
-        lower_bound=outcome.lower_bound,
+        *columns_module.analysis_row(
+            scenario.digest,
+            scenario.soc_name,
+            scenario.solver,
+            scenario.objective,
+            outcome.result,
+            outcome.lower_bound,
+        )
     )
 
 
@@ -175,33 +169,19 @@ def _decoded_rows(
     store: PackedResultStore, progress: "ProgressFn | None" = None
 ) -> Iterable[AnalysisRecord]:
     """Full-record decode of a store (the reference scan the sidecars must match)."""
-    from repro.solvers.bounds import certificate
+    from repro.solvers.bounds import result_lower_bound
 
     rows = []
     for entry, result in store.records():
-        step1 = result.step1
         if entry.has_lower_bound:
             bound = entry.lower_bound
         else:
-            cert = certificate(
-                step1.architecture.soc, step1.ate, step1.probe_station,
-                step1.config, entry.objective,
-            )
-            bound = None if cert is None else cert.value
+            bound = result_lower_bound(result, entry.objective)
         rows.append(
             AnalysisRecord(
-                key=entry.key[:16],
-                soc=entry.soc_name,
-                solver=entry.solver,
-                objective=entry.objective,
-                channels=result.step1.ate.channels,
-                depth=result.step1.ate.depth,
-                broadcast=result.step1.config.broadcast,
-                optimal_sites=result.optimal_sites,
-                channels_per_site=result.best.channels_per_site,
-                test_time_cycles=result.best.test_time_cycles,
-                value=result.optimal_throughput,
-                lower_bound=bound,
+                *columns_module.analysis_row(
+                    entry.key, entry.soc_name, entry.solver, entry.objective, result, bound
+                )
             )
         )
         if progress is not None and len(rows) % 1000 == 0:

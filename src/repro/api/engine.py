@@ -3,9 +3,10 @@
 :class:`Engine` is the canonical way to execute
 :class:`~repro.api.scenario.Scenario` objects:
 
-* :meth:`Engine.run` executes one scenario and memoises the outcome in an
-  in-process cache keyed on the scenario's canonical hash, so repeated runs
-  of the same scenario (also via different call sites, e.g. two experiments
+* :meth:`Engine.run` executes one scenario (the one-scenario case of
+  :meth:`Engine.run_batch`) and memoises the outcome in an in-process
+  cache keyed on the scenario's canonical hash, so repeated runs of the
+  same scenario (also via different call sites, e.g. two experiments
   sweeping over the same operating point) cost one optimisation;
 * :meth:`Engine.run_iter` is the streaming form: it accepts any scenario
   iterable (typically a lazy :class:`~repro.api.grid.SweepGrid`), plans the
@@ -306,25 +307,6 @@ class Engine:
                 self._cache.popitem(last=False)
                 self._evictions += 1
 
-    def _store(self, key: tuple, result: ScenarioResult) -> None:
-        """Record a computed result in both tiers, counting the miss.
-
-        The persistent write is best-effort: the store is a cache, so a
-        failing disk (full, permissions revoked mid-run: ``OSError``) or an
-        index that cannot commit (``StoreError``) must not destroy a
-        computed result -- the batch completes on the in-memory tier alone.
-        Misconfigured store *paths* still fail fast, at
-        :class:`~repro.store.PackedResultStore` construction.
-        """
-        with self._lock:
-            self._misses += 1
-            self._remember(key, result)
-        if self._result_store is not None:
-            try:
-                self._result_store.put(result.scenario, result.result)
-            except (OSError, StoreError):
-                pass
-
     @staticmethod
     def _deliver(scenario: Scenario, cached: ScenarioResult) -> ScenarioResult:
         """Return ``cached`` for ``scenario``, keeping the request's own fields.
@@ -361,19 +343,11 @@ class Engine:
     def run(self, scenario: Scenario) -> ScenarioResult:
         """Execute one scenario (a repeated run of an equal scenario is a cache hit).
 
-        Lookup order: in-memory cache, then the persistent store tier (when
-        configured), then compute -- recording the result in both tiers.
+        The one-scenario case of :meth:`run_batch`: lookup order is the
+        in-memory cache, then the persistent store tier (when configured),
+        then compute -- recording the result in both tiers.
         """
-        key = scenario.canonical_key()
-        cached = self._lookup(key)
-        if cached is not None:
-            return self._deliver(scenario, cached)
-        stored = self._lookup_store(key, scenario)
-        if stored is not None:
-            return stored
-        result = ScenarioResult(scenario=scenario, result=_execute(scenario))
-        self._store(key, result)
-        return result
+        return self.run_batch((scenario,))[0]
 
     def run_iter(
         self,
@@ -548,8 +522,12 @@ class Engine:
     def _flush(self, buffer: list[dict]) -> None:
         """Write buffered records to the store in one ``put_records`` batch.
 
-        Best-effort like :meth:`_store`: a failing disk must not destroy
-        computed results, the stream completes on the in-memory tier.
+        The persistent write is best-effort: the store is a cache, so a
+        failing disk (full, permissions revoked mid-run: ``OSError``) or an
+        index that cannot commit (``StoreError``) must not destroy computed
+        results -- the stream completes on the in-memory tier alone.
+        Misconfigured store *paths* still fail fast, at
+        :class:`~repro.store.PackedResultStore` construction.
         """
         if not buffer or self._result_store is None:
             return
@@ -597,8 +575,8 @@ class Engine:
         Computed results are written back to the store from the driving
         process only (in ``flush_every``-sized batches), so pool workers
         never contend for record files.  Results are bit-identical to
-        serial :meth:`run` calls, with or without a store, whatever the
-        chunk size.
+        serial (``workers=1``) execution, with or without a store,
+        whatever the chunk size.
         """
         scenarios = list(scenarios)
         keys = [scenario.canonical_key() for scenario in scenarios]

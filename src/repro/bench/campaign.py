@@ -17,7 +17,7 @@ The resumed run must produce the same order-insensitive result digest as
 the cold run (bit-identical values) and recompute only the abandoned
 scenarios (the resume row's ``cache`` counters); because it skips
 the finished majority it is several times faster than the cold run --
-``benchmarks/test_bench_campaign.py`` pins the >= 2x floor.
+``benchmarks/wallclock_campaign.py`` pins the >= 2x floor.
 """
 
 from __future__ import annotations

@@ -159,23 +159,13 @@ class ServiceClient:
             raise ServiceError("/records/query: server response lacks 'missing'")
         return tuple(str(key) for key in missing)
 
-    def put_record(self, record: dict[str, Any]) -> dict[str, Any]:
-        """``POST /records``: upload one completed record (deduplicated)."""
-        return self._call("/records", {"record": record})
-
-    def put_records(self, records: Sequence[dict[str, Any]]) -> dict[str, Any]:
-        """``POST /records``: upload a batch of completed records."""
-        return self._call("/records", {"records": list(records)})
-
     def put_records_batch(self, records: Sequence[dict[str, Any]]) -> dict[str, Any]:
         """``POST /records/batch``: bulk NDJSON upload of completed records.
 
-        One HTTP request per batch, one JSON line per record -- the
-        chunked worker's upload path.  Digest verification and dedup are
-        identical to :meth:`put_record`: a malformed record rejects the
-        whole batch (400), nothing is partially stored.  Servers predating
-        the endpoint answer 404 (``ServiceError.status``); callers fall
-        back to per-record uploads.
+        The service's only record ingest: one HTTP request per batch, one
+        JSON line per record.  Every record is digest-verified and
+        deduplicated against the store; a malformed record rejects the
+        whole batch (400), nothing is partially stored.
         """
         body = b"".join(
             json.dumps(record).encode("utf-8") + b"\n" for record in records

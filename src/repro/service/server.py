@@ -24,7 +24,8 @@ wall-clock jumps cannot expire or immortalise a lease.
 Record ingest
 -------------
 Workers upload finished scenarios in the store's own record form
-(:func:`repro.store.make_record`).  The server digest-verifies every
+(:func:`repro.store.make_record`), one NDJSON line per record, through
+``POST /records/batch`` -- the only ingest.  The server digest-verifies every
 record (the embedded result must decode and match the claimed key) before
 writing, and drops records whose key the store already holds -- the
 counters distinguish ``records_stored`` from ``records_duplicate``, which
@@ -326,24 +327,14 @@ class CampaignServer:
             self.counters["presence_hits"] += len(set(keys)) - len(missing)
         return {"missing": list(missing), "present": len(set(keys)) - len(missing)}
 
-    def ingest(self, payload: Any) -> dict[str, Any]:
+    def ingest(self, records: "list[Any]") -> dict[str, Any]:
         """Accept completed records, digest-verified and store-deduplicated.
 
-        Accepts ``{"record": {...}}`` or ``{"records": [...]}``.  Every
-        record must decode and its embedded key must be a well-formed
-        digest -- a malformed record rejects the whole request with 400,
-        nothing is partially written.
+        ``records`` is the parsed NDJSON body of ``POST /records/batch``.
+        Every record must decode and its embedded key must be a
+        well-formed digest -- a malformed record rejects the whole request
+        with 400, nothing is partially written.
         """
-        if not isinstance(payload, Mapping):
-            raise ConfigurationError("records payload must be a JSON object")
-        if "records" in payload:
-            records = payload["records"]
-            if not isinstance(records, list):
-                raise ConfigurationError("'records' must be a list of record objects")
-        elif "record" in payload:
-            records = [payload["record"]]
-        else:
-            raise ConfigurationError("records payload needs 'record' or 'records'")
         validated: list[tuple[str, dict]] = []
         for record in records:
             if not isinstance(record, dict):
@@ -563,8 +554,7 @@ class _Handler(BaseHTTPRequestHandler):
         parts = [part for part in self.path.split("?")[0].split("/") if part]
         if parts == ["records", "batch"]:
             # NDJSON, not JSON: routed before the JSON body parse.
-            records = self._read_ndjson_body()
-            self._send_json(200, self.app.ingest({"records": records}))
+            self._send_json(200, self.app.ingest(self._read_ndjson_body()))
             return
         payload = self._read_body()
         if parts == ["campaigns"]:
@@ -575,8 +565,6 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_json(200, self.app.heartbeat(parts[1]))
         elif len(parts) == 3 and parts[0] == "leases" and parts[2] == "complete":
             self._send_json(200, self.app.complete(parts[1]))
-        elif parts == ["records"]:
-            self._send_json(200, self.app.ingest(payload))
         elif parts == ["records", "query"]:
             self._send_json(200, self.app.query_missing(payload))
         elif parts == ["scenarios"]:

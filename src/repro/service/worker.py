@@ -2,7 +2,7 @@
 
 A worker is stateless: everything it needs arrives in the lease response
 (the campaign's grid spec plus a shard index), and everything it produces
-leaves as store-format records through ``POST /records``.  That is what
+leaves as store-format records through ``POST /records/batch``.  That is what
 makes workers killable at any instant -- a dead worker's lease expires
 server-side and the shard is re-offered; the replacement worker's first
 act is a batch presence query, so scenarios the dead worker already
@@ -17,9 +17,7 @@ Per leased shard the loop is:
 3. plan the rest into structure-sharing chunks (:class:`~repro.api.plan.
    SweepPlan`, ``chunk_size`` defaulting to ``"auto"``), solve each chunk
    through a local in-memory :class:`~repro.api.engine.Engine` and upload
-   its records in one batched ``POST /records/batch`` NDJSON request
-   (falling back to per-record ``POST /records`` against servers
-   predating the endpoint);
+   its records in one batched ``POST /records/batch`` NDJSON request;
 4. heartbeat after every scenario; when the server answers ``gone`` the
    lease has expired -- the worker flushes the records it already
    computed, then abandons the shard (someone else owns it now);
@@ -35,7 +33,7 @@ from typing import Callable
 
 from repro.api.engine import Engine
 from repro.api.plan import AUTO_CHUNK, SweepPlan
-from repro.core.exceptions import ReproError, ServiceError
+from repro.core.exceptions import ReproError
 from repro.service.client import ServiceClient
 from repro.service.protocol import GridSpec
 from repro.store.result_store import make_record
@@ -116,35 +114,17 @@ def run_worker(
     client = server if isinstance(server, ServiceClient) else ServiceClient(server)
     name = worker or f"worker-{os.getpid()}"
     stats = WorkerStats()
-    # Sticky across shards: once the server 404s the batch endpoint we stop
-    # re-probing it and stay on per-record uploads for this worker's life.
-    batch_supported = True
 
     def say(message: str) -> None:
         if log is not None:
             log(message)
 
     def upload(records: "list[dict]") -> tuple[int, int]:
-        """Ship buffered records; returns ``(stored, duplicates)``."""
-        nonlocal batch_supported
+        """Ship buffered records in one NDJSON batch; returns ``(stored, duplicates)``."""
         if not records:
             return 0, 0
-        if batch_supported:
-            try:
-                report = client.put_records_batch(records)
-            except ServiceError as error:
-                if error.status != 404:
-                    raise
-                batch_supported = False
-                say(f"{name}: server lacks /records/batch; using per-record uploads")
-            else:
-                return int(report.get("stored", 0)), int(report.get("duplicates", 0))
-        stored = duplicates = 0
-        for record in records:
-            report = client.put_record(record)
-            stored += int(report.get("stored", 0))
-            duplicates += int(report.get("duplicates", 0))
-        return stored, duplicates
+        report = client.put_records_batch(records)
+        return int(report.get("stored", 0)), int(report.get("duplicates", 0))
 
     while True:
         if max_shards is not None and stats.shards >= max_shards:

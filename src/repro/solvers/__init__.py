@@ -26,7 +26,6 @@ from repro.solvers.evaluate import (
     PointMemo,
     evaluate_point,
     evaluate_points,
-    objective_value,
     scenario_for,
     timing_for,
 )
@@ -54,7 +53,6 @@ __all__ = [
     "get_solver",
     "list_solvers",
     "make_problem",
-    "objective_value",
     "register_solver",
     "scenario_for",
     "solve",

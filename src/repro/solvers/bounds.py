@@ -53,6 +53,7 @@ from repro.wrapper.pareto import pareto_points
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.api.scenario import Scenario
+    from repro.optimize.result import TwoStepResult
     from repro.solvers.problem import TestInfraProblem
 
 #: Number of distinct ``(soc, ate, probe, config, objective)`` certificates
@@ -264,6 +265,20 @@ def scenario_lower_bound(scenario: "Scenario") -> float | None:
         scenario.test_cell.probe_station,
         scenario.config,
         scenario.objective,
+    )
+    return None if cert is None else cert.value
+
+
+def result_lower_bound(result: "TwoStepResult", objective: str) -> float | None:
+    """The certified bound of a solved result's problem family, raw units.
+
+    For results read back from records that carry no persisted bound: the
+    family is taken from the result's own Step-1 design, so no catalog
+    lookup is needed.
+    """
+    step1 = result.step1
+    cert = certificate(
+        step1.architecture.soc, step1.ate, step1.probe_station, step1.config, objective
     )
     return None if cert is None else cert.value
 

@@ -35,7 +35,7 @@ from repro.multisite.cost_model import TestTiming
 from repro.multisite.throughput import MultiSiteScenario
 from repro.objectives.registry import DEFAULT_OBJECTIVE, get_objective
 from repro.optimize.channels import max_channels_per_site
-from repro.optimize.config import Objective, OptimizationConfig
+from repro.optimize.config import OptimizationConfig
 from repro.optimize.result import SitePoint, Step1Result
 from repro.soc.module import Module
 from repro.tam.architecture import TestArchitecture
@@ -66,19 +66,6 @@ def scenario_for(
         contact_yield=probe_station.contact_yield,
         manufacturing_yield=config.manufacturing_yield,
     )
-
-
-def objective_value(scenario: MultiSiteScenario, config: OptimizationConfig) -> float:
-    """Evaluate the classic throughput objective (``D_th`` or ``D^u_th``).
-
-    Kept as the registry-free shortcut for call sites that explicitly want
-    the paper's throughput numbers (figure baselines, reports); solvers go
-    through :func:`evaluate_point`, which dispatches on the registered
-    objective name instead.
-    """
-    if config.objective is Objective.UNIQUE_THROUGHPUT:
-        return scenario.unique_throughput(abort_on_fail=config.abort_on_fail)
-    return scenario.throughput(abort_on_fail=config.abort_on_fail)
 
 
 @dataclass(frozen=True)

@@ -48,13 +48,9 @@ COLUMNS_FORMAT = 1
 #: File-name suffix of per-segment sidecars (``seg-<...>.cols``).
 SIDECAR_SUFFIX = ".cols"
 
-#: The column order of every full sidecar row -- exactly the
-#: :class:`~repro.analysis.records.AnalysisRecord` constructor order.
-ANALYSIS_COLUMNS = (
-    "key",
-    "soc",
-    "solver",
-    "objective",
+#: The metric columns, in order: exactly the keys of the ``analysis``
+#: block :func:`~repro.store.result_store.make_record` embeds.
+METRIC_COLUMNS = (
     "channels",
     "depth",
     "broadcast",
@@ -64,6 +60,11 @@ ANALYSIS_COLUMNS = (
     "value",
     "lower_bound",
 )
+
+#: The column order of every full sidecar row -- exactly the
+#: :class:`~repro.analysis.records.AnalysisRecord` constructor order: the
+#: scenario's identity columns, then :data:`METRIC_COLUMNS`.
+ANALYSIS_COLUMNS = ("key", "soc", "solver", "objective") + METRIC_COLUMNS
 
 
 def sidecar_path(segment_path: Path) -> Path:
@@ -79,9 +80,43 @@ def sidecar_header(**extra: object) -> bytes:
 
 
 # ----------------------------------------------------------------------
-# Row construction (write path)
+# Row construction
 # ----------------------------------------------------------------------
-def row_from_record(record: object) -> list | None:
+def analysis_row(
+    key: str,
+    soc: str,
+    solver: str,
+    objective: str,
+    result: "TwoStepResult",
+    bound: float | None,
+) -> tuple:
+    """The :data:`ANALYSIS_COLUMNS` values of one solved result and its bound.
+
+    The one mapping from a result to its analysis columns: the record's
+    write-time ``analysis`` block, the sidecar rebuild and fallback
+    decode, the full-decode reference scan and in-memory engine results
+    all derive their rows here.  ``key`` may be the full digest; the row
+    carries its short (16 hex chars) form.
+    """
+    step1 = result.step1
+    best = result.best
+    return (
+        key[:16],
+        soc,
+        solver,
+        objective,
+        step1.ate.channels,
+        step1.ate.depth,
+        step1.config.broadcast,
+        result.optimal_sites,
+        best.channels_per_site,
+        best.test_time_cycles,
+        result.optimal_throughput,
+        bound,
+    )
+
+
+def row_from_record(record: object) -> tuple | None:
     """Sidecar columns of a record dict, from its write-time analysis block.
 
     Returns ``None`` (meaning: write a short row, decode at read time)
@@ -94,48 +129,28 @@ def row_from_record(record: object) -> list | None:
         return None
     key = record.get("key")
     block = record.get("analysis")
-    if not isinstance(key, str) or not key or not isinstance(block, dict):
-        return None
     scenario = record.get("scenario") or {}
-    if not isinstance(scenario, dict):
+    if (
+        not isinstance(key, str)
+        or not key
+        or not isinstance(block, dict)
+        or not isinstance(scenario, dict)
+    ):
         return None
     try:
-        channels = block["channels"]
-        depth = block["depth"]
-        broadcast = block["broadcast"]
-        sites = block["optimal_sites"]
-        per_site = block["channels_per_site"]
-        cycles = block["test_time_cycles"]
-        value = block["value"]
-        bound = block["lower_bound"]
+        metrics = [block[name] for name in METRIC_COLUMNS]
     except KeyError:
         return None
-    for count in (channels, depth, sites, per_site, cycles):
-        if not isinstance(count, int) or isinstance(count, bool):
-            return None
-    if not isinstance(broadcast, bool):
-        return None
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        return None
-    if bound is not None and (not isinstance(bound, (int, float)) or isinstance(bound, bool)):
-        return None
-    return [
+    return normalize_row([
         key[:16],
         str(scenario.get("soc", "")),
         str(scenario.get("solver", "")),
         str(scenario.get("objective", DEFAULT_OBJECTIVE)),
-        channels,
-        depth,
-        broadcast,
-        sites,
-        per_site,
-        cycles,
-        float(value),
-        None if bound is None else float(bound),
-    ]
+        *metrics,
+    ])
 
 
-def row_from_decoded(record: dict, result: "TwoStepResult") -> list:
+def row_from_decoded(record: dict, result: "TwoStepResult") -> tuple:
     """Sidecar columns computed from a decoded result (rebuild/fallback path).
 
     Bit-identical to what the analysis full-decode scan produces for the
@@ -143,41 +158,32 @@ def row_from_decoded(record: dict, result: "TwoStepResult") -> list:
     ``analysis`` block when present and is recomputed through the (cached)
     certificate otherwise.
     """
-    from repro.solvers.bounds import certificate
+    from repro.solvers.bounds import result_lower_bound
 
     scenario = record.get("scenario") or {}
     if not isinstance(scenario, dict):
         scenario = {}
     objective = str(scenario.get("objective", DEFAULT_OBJECTIVE))
-    step1 = result.step1
     has_bound, bound = record_lower_bound(record)
     if not has_bound:
-        cert = certificate(
-            step1.architecture.soc, step1.ate, step1.probe_station,
-            step1.config, objective,
-        )
-        bound = None if cert is None else cert.value
-    return [
-        str(record.get("key", ""))[:16],
+        bound = result_lower_bound(result, objective)
+    return analysis_row(
+        str(record.get("key", "")),
         str(scenario.get("soc", "")),
         str(scenario.get("solver", "")),
         objective,
-        step1.ate.channels,
-        step1.ate.depth,
-        step1.config.broadcast,
-        result.optimal_sites,
-        result.best.channels_per_site,
-        result.best.test_time_cycles,
-        result.optimal_throughput,
+        result,
         bound,
-    ]
+    )
 
 
 def normalize_row(row: object) -> tuple | None:
-    """Validate a sidecar row read back from disk into the column tuple.
+    """Validate a column row into the column tuple: the one row check.
 
-    Returns ``None`` when the row is not a well-typed full column row --
-    the reader then decodes the underlying record instead, so a tampered
+    Both write-time rows (:func:`row_from_record`) and sidecar rows read
+    back from disk pass here.  Returns ``None`` when the row is not a
+    well-typed full column row -- the writer then leaves a short row and
+    the reader decodes the underlying record instead, so a tampered
     sidecar can degrade performance but never analysis output.
     """
     if not isinstance(row, (list, tuple)) or len(row) != len(ANALYSIS_COLUMNS):
@@ -202,7 +208,7 @@ def normalize_row(row: object) -> tuple | None:
     )
 
 
-def encode_segment_entries(entries: Iterable[tuple[int, int, "list | None"]]) -> bytes:
+def encode_segment_entries(entries: Iterable[tuple[int, int, "Sequence | None"]]) -> bytes:
     """Encode ``(offset, length, columns-or-None)`` entries as sidecar lines."""
     payload = bytearray()
     for offset, length, row in entries:
@@ -339,7 +345,7 @@ def _decode_locations(path: Path, pending: Sequence[tuple[int, int]], scan: Segm
                 if not isinstance(record, dict) or "key" not in record:
                     raise ValueError("segment line is not a record")
                 result = decode_record(record)
-                scan.rows.append((offset, tuple(row_from_decoded(record, result))))
+                scan.rows.append((offset, row_from_decoded(record, result)))
             except (OSError, ReproError, KeyError, TypeError, ValueError):
                 scan.corrupt += 1
 
@@ -356,12 +362,12 @@ def rebuild_segment_sidecar(segment_path: Path) -> int:
     them.  The rebuilt file replaces the old one atomically.
     """
     raw = segment_path.read_bytes()
-    entries: list[tuple[int, int, list | None]] = []
+    entries: list[tuple[int, int, tuple | None]] = []
     offset = 0
     for line in raw.split(b"\n"):
         length = len(line)
         if line:
-            row: list | None = None
+            row: tuple | None = None
             try:
                 record = json.loads(line.decode("utf-8"))
                 result = decode_record(record)

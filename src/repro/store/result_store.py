@@ -62,14 +62,24 @@ def make_record(scenario: "Scenario", result: "TwoStepResult") -> dict:
     consumer can verify it against the scenario that requested it.
 
     The ``analysis`` block carries the flat metric columns analysis needs
-    (plus the certified lower bound, computed here -- once per problem
-    structure, thanks to the certificate cache -- rather than on every
-    future scan), so the packed store can fill its columnar sidecar and
-    the analysis layer can skip decoding the payload entirely.
+    (:data:`~repro.store.columns.METRIC_COLUMNS`, including the certified
+    lower bound, computed here -- once per problem structure, thanks to
+    the certificate cache -- rather than on every future scan), so the
+    packed store can fill its columnar sidecar and the analysis layer can
+    skip decoding the payload entirely.
     """
     from repro import __version__
     from repro.solvers.bounds import scenario_lower_bound
+    from repro.store.columns import METRIC_COLUMNS, analysis_row
 
+    row = analysis_row(
+        scenario.digest,
+        scenario.soc_name,
+        scenario.solver,
+        scenario.objective,
+        result,
+        scenario_lower_bound(scenario),
+    )
     return {
         "format": STORE_FORMAT,
         "package_version": __version__,
@@ -82,16 +92,7 @@ def make_record(scenario: "Scenario", result: "TwoStepResult") -> dict:
             "description": scenario.describe(),
         },
         "result": encode_result(result),
-        "analysis": {
-            "channels": result.step1.ate.channels,
-            "depth": result.step1.ate.depth,
-            "broadcast": result.step1.config.broadcast,
-            "optimal_sites": result.optimal_sites,
-            "channels_per_site": result.best.channels_per_site,
-            "test_time_cycles": result.best.test_time_cycles,
-            "value": result.optimal_throughput,
-            "lower_bound": scenario_lower_bound(scenario),
-        },
+        "analysis": dict(zip(METRIC_COLUMNS, row[-len(METRIC_COLUMNS):])),
     }
 
 

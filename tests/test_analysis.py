@@ -90,6 +90,7 @@ class TestRecords:
             store.put(outcome.scenario, outcome.result)
         assert records_from_store(store) == records
         assert records_from_store(tmp_path) == records
+        assert records_from_store(store, columns=False) == records
 
     def test_jsonl_roundtrip_matches(self, results, records, tmp_path):
         path = tmp_path / "sweep.jsonl"

@@ -240,6 +240,28 @@ class TestEngine:
         info = engine.cache_info()
         assert info.misses == 2 and info.hits == 2
 
+    def test_batch_computes_each_scenario_once_in_a_worker(self, cell):
+        """Exact counters of a parallel batch and of its cached rerun.
+
+        Every distinct scenario is computed once (duplicates collapse), in
+        a pool worker -- the driving process evaluates no kernel point --
+        and a rerun on the same engine is all cache hits, computing nothing.
+        """
+        from repro.solvers import evaluate
+
+        grid = Scenario.sweep("d695", cell, channels=[128, 256], broadcast=[False, True])
+        engine = Engine()
+        before = evaluate.cache_info()
+        first = engine.run_batch(grid + grid[:2], workers=2)
+        info = engine.cache_info()
+        assert (info.misses, info.hits, info.size) == (len(grid), 0, len(grid))
+        assert evaluate.cache_info() == before
+        again = engine.run_batch(grid, workers=2)
+        info = engine.cache_info()
+        assert (info.misses, info.hits) == (len(grid), len(grid))
+        assert evaluate.cache_info() == before
+        assert [r.result for r in again] == [r.result for r in first[: len(grid)]]
+
     def test_invalid_worker_counts_rejected(self, cell):
         with pytest.raises(ConfigurationError):
             Engine(workers=0)

@@ -483,6 +483,15 @@ class TestSyntheticSweep:
         assert _rows(warm)["synthetic sweep"]["counters"]["cache"]["store_hits"] == 0
 
 
+class TestCampaignGrid:
+    def test_smoke_campaign_grid_collects(self):
+        """The smoke variant stays small (CI budget) but still interruptible."""
+        from repro.bench import campaign_grid
+
+        assert 4 <= len(campaign_grid(smoke=True)) <= 8
+        assert len(campaign_grid()) > len(campaign_grid(smoke=True))
+
+
 class TestNoiseFloor:
     @staticmethod
     def _reports(before, after):

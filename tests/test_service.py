@@ -249,8 +249,8 @@ class TestIngest:
     def test_dedupe(self, clocked_server):
         server, _ = clocked_server
         record = self._record(server)
-        assert server.ingest({"record": record}) == {"stored": 1, "duplicates": 0}
-        assert server.ingest({"record": record}) == {"stored": 0, "duplicates": 1}
+        assert server.ingest([record]) == {"stored": 1, "duplicates": 0}
+        assert server.ingest([record]) == {"stored": 0, "duplicates": 1}
         assert server.counters["records_stored"] == 1
         assert server.counters["records_duplicate"] == 1
 
@@ -260,7 +260,7 @@ class TestIngest:
         good = self._record(server)
         bad = dict(good, result="not a result payload")
         with pytest.raises(ReproError):
-            server.ingest({"records": [good, bad]})
+            server.ingest([good, bad])
         assert server.store.info().size == 0
         assert server.counters["records_stored"] == 0
 
@@ -276,7 +276,7 @@ class TestIngest:
         grid = list(SMALL_SPEC.build_grid())[:3]
         engine = Engine()
         records = [make_record(s, engine.run(s).result) for s in grid]
-        assert server.ingest({"records": records}) == {"stored": 3, "duplicates": 0}
+        assert server.ingest(records) == {"stored": 3, "duplicates": 0}
         sidecars = list(packed.root.rglob(f"*{columns.SIDECAR_SUFFIX}"))
         assert sidecars
         fast = records_from_store(packed)
@@ -286,7 +286,7 @@ class TestIngest:
     def test_query_missing_counts_presence(self, clocked_server):
         server, _ = clocked_server
         record = self._record(server)
-        server.ingest({"record": record})
+        server.ingest([record])
         keys = [record["key"], "0" * 64]
         answer = server.query_missing({"keys": keys})
         assert answer == {"missing": ["0" * 64], "present": 1}
@@ -299,7 +299,9 @@ class TestIngest:
 @pytest.fixture()
 def http_service(tmp_path):
     server = start_server(tmp_path / "store", port=0, lease_ttl=30.0)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+    )
     thread.start()
     host, port = server.server_address[:2]
     try:
@@ -391,7 +393,7 @@ class TestServiceHTTP:
         assert http_service.health()["store"]["records"] == 3
 
     def test_batch_upload_digest_rejection_parity(self, http_service):
-        """The NDJSON path rejects a bad record exactly like ``/records``."""
+        """A bad record rejects the whole NDJSON batch; JSON ``/records`` is gone."""
         grid = list(SMALL_SPEC.build_grid())[:2]
         engine = Engine()
         good, other = (make_record(s, engine.run(s).result) for s in grid)
@@ -400,9 +402,9 @@ class TestServiceHTTP:
             http_service.put_records_batch([good, bad])
         assert batch_error.value.status == 400
         with pytest.raises(ServiceError) as single_error:
-            http_service.put_record(bad)
-        assert single_error.value.status == 400
-        # All-or-nothing on both paths: the good record was not written.
+            http_service._call("/records", {"record": good})
+        assert single_error.value.status == 404
+        # All-or-nothing: the good record was written by neither request.
         assert http_service.health()["store"]["records"] == 0
 
     def test_batch_upload_malformed_ndjson_is_400(self, http_service):
@@ -428,26 +430,6 @@ class TestServiceHTTP:
         assert stats.stored == 4
         assert stats.duplicates == 0
         assert any("chunk 1/" in line and "uploaded" in line for line in lines)
-        answer = http_service.digest(submitted["campaign"])
-        assert answer["complete"] is True
-        local = sweep_digest(Engine().run_batch(list(SMALL_SPEC.build_grid())))
-        assert answer["digest"] == local
-
-    def test_worker_falls_back_on_missing_batch_endpoint(
-        self, http_service, monkeypatch
-    ):
-        """Against a pre-batch server (404) the worker ships per record."""
-
-        def gone(self, records):
-            raise ServiceError("/records/batch: no such endpoint", status=404)
-
-        monkeypatch.setattr(ServiceClient, "put_records_batch", gone)
-        submitted = http_service.submit_campaign(SMALL_SPEC)
-        stats = run_worker(
-            http_service.base_url, worker="w1", until_idle=True, poll=0.05, chunk_size=2
-        )
-        assert stats.computed == 4
-        assert stats.stored == 4
         answer = http_service.digest(submitted["campaign"])
         assert answer["complete"] is True
         local = sweep_digest(Engine().run_batch(list(SMALL_SPEC.build_grid())))

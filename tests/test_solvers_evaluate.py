@@ -3,6 +3,7 @@
 import pytest
 
 from repro.multisite.throughput import MultiSiteScenario
+from repro.objectives.registry import get_objective
 from repro.optimize.config import Objective, OptimizationConfig
 from repro.optimize.step1 import run_step1
 from repro.optimize.step2 import run_step2, step1_only_throughput
@@ -31,9 +32,10 @@ class TestKernel:
         scenario = evaluate.scenario_for(
             step1.architecture, 2, step1.ate, step1.probe_station, step1.config
         )
-        raw = evaluate.objective_value(scenario, OptimizationConfig())
-        unique = evaluate.objective_value(
-            scenario, OptimizationConfig(objective=Objective.UNIQUE_THROUGHPUT)
+        throughput = get_objective("throughput")
+        raw = throughput.value(scenario, OptimizationConfig(), step1.ate)
+        unique = throughput.value(
+            scenario, OptimizationConfig(objective=Objective.UNIQUE_THROUGHPUT), step1.ate
         )
         assert raw == pytest.approx(scenario.throughput())
         assert unique == pytest.approx(scenario.unique_throughput())

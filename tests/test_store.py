@@ -219,6 +219,56 @@ class TestEngineStoreTier:
         assert second.cache_info().hits == 1
         assert third.result == outcome.result
 
+    def test_run_is_the_one_scenario_batch(self, tmp_path, scenario):
+        """``run(s)`` and ``run_batch([s])`` leave equal statistics and stores.
+
+        Covered for a cold run (computed, written back), a cache hit (the
+        same engine again) and a warm store hit (a fresh engine).
+        """
+        legs = {
+            "run": lambda engine: engine.run(scenario),
+            "run_batch": lambda engine: engine.run_batch([scenario])[0],
+        }
+        seen = {}
+        for name, leg in legs.items():
+            root = tmp_path / name
+            engine = Engine(store=root)
+            cold = leg(engine)
+            cold_info = engine.cache_info()
+            hit = leg(engine)
+            warm_engine = Engine(store=root)
+            warm = leg(warm_engine)
+            contents = {entry.key: result for entry, result in engine.store.records()}
+            seen[name] = (
+                cold_info,
+                engine.cache_info(),
+                warm_engine.cache_info(),
+                engine.store.info(),
+                warm_engine.store.info(),
+                contents,
+            )
+            assert hit is cold
+            assert warm.result == cold.result
+        assert seen["run"] == seen["run_batch"]
+        cold_info, hit_info, warm_info, *_ = seen["run"]
+        assert (cold_info.misses, cold_info.hits, cold_info.store_hits) == (1, 0, 0)
+        assert (hit_info.misses, hit_info.hits, hit_info.store_hits) == (1, 1, 0)
+        assert (warm_info.misses, warm_info.hits, warm_info.store_hits) == (0, 0, 1)
+
+    def test_warm_store_sweep_computes_nothing(self, tmp_path, tiny_soc, tiny_cell):
+        """A warm store replays a sweep as all store hits and zero kernel points."""
+        from repro.solvers import evaluate
+
+        grid = Scenario.sweep(tiny_soc, tiny_cell, channels=[32, 48, 64])
+        cold = Engine(store=PackedResultStore(tmp_path)).run_batch(grid, workers=1)
+        before = evaluate.cache_info()
+        warm_engine = Engine(store=PackedResultStore(tmp_path))
+        warm = warm_engine.run_batch(grid, workers=1)
+        info = warm_engine.cache_info()
+        assert (info.store_hits, info.misses, info.hits) == (len(grid), 0, 0)
+        assert evaluate.cache_info() == before
+        assert [r.result for r in warm] == [r.result for r in cold]
+
     def test_engine_accepts_path_as_store(self, tmp_path, scenario):
         engine = Engine(store=tmp_path / "store")
         engine.run(scenario)
@@ -271,7 +321,7 @@ class TestEngineStoreTier:
         """A dying disk mid-run degrades to memory-only caching, not a crash."""
         store = PackedResultStore(tmp_path)
         monkeypatch.setattr(
-            store, "put", lambda *a, **k: (_ for _ in ()).throw(OSError("disk full"))
+            store, "put_records", lambda *a, **k: (_ for _ in ()).throw(OSError("disk full"))
         )
         engine = Engine(store=store)
         outcome = engine.run(scenario)

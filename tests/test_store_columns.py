@@ -22,7 +22,8 @@ from repro.core.exceptions import ConfigurationError
 from repro.store import columns
 from repro.store.factory import migrate_store, open_store
 from repro.store.packed import PackedResultStore
-from repro.store.result_store import make_record, record_lower_bound
+from repro.solvers.bounds import result_lower_bound, scenario_lower_bound
+from repro.store.result_store import decode_record, make_record, record_lower_bound
 
 
 @pytest.fixture(scope="module")
@@ -84,6 +85,32 @@ class TestWritePath:
         )
         assert scan.used_sidecar
         assert scan.corrupt == 0
+
+    def test_sidecar_scan_decodes_no_payload(self, tmp_path, records, monkeypatch):
+        """Exact counter: full sidecar rows answer the scan without decoding.
+
+        Only a short row (a record written without its analysis block)
+        costs a payload decode, exactly one.
+        """
+        from repro.store import result_store
+
+        decoded = []
+        real_decode = result_store.decode_result
+
+        def counting_decode(payload):
+            decoded.append(payload)
+            return real_decode(payload)
+
+        monkeypatch.setattr(result_store, "decode_result", counting_decode)
+        store = _packed(tmp_path / "fresh", records)
+        assert len(records_from_store(store)) == len(records)
+        assert decoded == []
+
+        legacy = dict(records[0])
+        legacy.pop("analysis")
+        mixed = _packed(tmp_path / "mixed", [legacy] + records[1:])
+        assert len(records_from_store(mixed)) == len(records)
+        assert len(decoded) == 1
 
     def test_record_without_analysis_block_gets_short_row(self, tmp_path, records):
         legacy = dict(records[0])
@@ -243,6 +270,39 @@ class TestParallelScan:
         assert {line.split()[1].rstrip(":") for line in lines} == {
             name for name in store._segment_names()
         }
+
+
+class TestAnalysisRow:
+    """One mapping from a result to its columns, one check of a column row."""
+
+    def test_write_row_equals_decoded_row_equals_result_row(self, solved, records):
+        for outcome, record in zip(solved, records):
+            scenario = outcome.scenario
+            expected = columns.analysis_row(
+                scenario.digest, scenario.soc_name, scenario.solver,
+                scenario.objective, outcome.result, outcome.lower_bound,
+            )
+            assert len(expected) == len(columns.ANALYSIS_COLUMNS)
+            assert expected[0] == scenario.digest[:16]
+            assert columns.row_from_record(record) == expected
+            assert columns.row_from_decoded(record, decode_record(record)) == expected
+
+    def test_result_bound_equals_scenario_bound(self, solved):
+        for outcome in solved:
+            bound = result_lower_bound(outcome.result, outcome.scenario.objective)
+            assert bound == scenario_lower_bound(outcome.scenario)
+            assert bound == outcome.lower_bound
+
+    @pytest.mark.parametrize(
+        "column, value",
+        [("channels", True), ("optimal_sites", 2.0), ("broadcast", 1),
+         ("value", "1.0"), ("value", False), ("lower_bound", True)],
+    )
+    def test_ill_typed_block_gives_a_short_row(self, records, column, value):
+        record = dict(records[0])
+        record["analysis"] = dict(record["analysis"], **{column: value})
+        assert columns.row_from_record(record) is None
+        assert columns.normalize_row(columns.row_from_record(records[0])) is not None
 
 
 class TestLowerBoundPersistence:
