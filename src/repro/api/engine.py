@@ -52,6 +52,7 @@ from repro.reporting.series import Series
 from repro.objectives.registry import DEFAULT_OBJECTIVE
 from repro.solvers.problem import make_problem
 from repro.solvers.registry import DEFAULT_SOLVER, solve
+from repro.solvers.structure import StructureScope, structure_scope
 from repro.store.factory import open_store
 from repro.store.packed import PackedResultStore
 from repro.store.result_store import make_record
@@ -148,6 +149,12 @@ def _execute(scenario: Scenario) -> TwoStepResult:
     return solve(scenario.solver, problem).result
 
 
+def _execute_in(scope: StructureScope, scenario: Scenario) -> TwoStepResult:
+    """Run one scenario with ``scope``'s problem structures active."""
+    with structure_scope(scope):
+        return _execute(scenario)
+
+
 def _execute_chunk(
     scenarios: Sequence[Scenario],
 ) -> "tuple[list[TwoStepResult], Exception | None]":
@@ -161,14 +168,17 @@ def _execute_chunk(
     not lost: the driver persists them, then re-raises the error with its
     original class -- so exceptions propagate exactly as in serial
     execution while interrupted chunks stay resumable at scenario
-    granularity.
+    granularity.  The chunk's scenarios share one
+    :func:`~repro.solvers.structure.structure_scope`, so equal Step-1
+    designs and budget plateaus are solved once per chunk.
     """
     results: list[TwoStepResult] = []
-    for scenario in scenarios:
-        try:
-            results.append(_execute(scenario))
-        except Exception as error:  # noqa: BLE001 - re-raised driver-side
-            return results, error
+    with structure_scope():
+        for scenario in scenarios:
+            try:
+                results.append(_execute(scenario))
+            except Exception as error:  # noqa: BLE001 - re-raised driver-side
+                return results, error
     return results, None
 
 
@@ -449,6 +459,7 @@ class Engine:
         todo = list(pending.items())
         worker_count = min(effective_workers, len(todo))
         buffer: list[dict] = []
+        scope = StructureScope()
         try:
             if worker_count > 1:
                 plan = SweepPlan.build(
@@ -460,9 +471,12 @@ class Engine:
                 outcomes: Iterator = self._map_chunks(plan, worker_count)
             else:
                 # Serial in-process execution: chunking would only change
-                # the order, so the input order is simply kept.
+                # the order, so the input order is simply kept.  One
+                # structure scope serves the whole call; it is activated
+                # around each solve rather than held across the yields,
+                # so the consumer's code never runs inside it.
                 outcomes = (
-                    ((index,), [_execute(scenario)], None)
+                    ((index,), [_execute_in(scope, scenario)], None)
                     for index, (_, scenario) in enumerate(todo)
                 )
             for indices, results, error in outcomes:
@@ -478,6 +492,7 @@ class Engine:
                 if error is not None:
                     raise error
         finally:
+            scope.clear()
             self._flush(buffer)
 
     def _probe_store(

@@ -15,6 +15,11 @@ candidates, and the figure experiments call :func:`step1_only_throughput`
 for the paper's reference curves.  Evaluation goes through the kernel in
 :mod:`repro.solvers.evaluate`, which widens the design once per distinct
 per-site channel budget and builds the :class:`SitePoint` rows directly.
+Inside a structure scope (:mod:`repro.solvers.structure`: one engine
+call, pool chunk or worker chunk) a budget the design was already
+widened to -- by another broadcast mode, config or objective of the
+same operating point -- is read from the design's budget map instead of
+widened again, so each (design, budget) is widened once per scope.
 """
 
 from __future__ import annotations

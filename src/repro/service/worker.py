@@ -16,8 +16,11 @@ Per leased shard the loop is:
    scenarios are skipped (counted in :attr:`WorkerStats.skipped`);
 3. plan the rest into structure-sharing chunks (:class:`~repro.api.plan.
    SweepPlan`, ``chunk_size`` defaulting to ``"auto"``), solve each chunk
-   through a local in-memory :class:`~repro.api.engine.Engine` and upload
-   its records in one batched ``POST /records/batch`` NDJSON request;
+   through a local in-memory :class:`~repro.api.engine.Engine` inside one
+   :func:`~repro.solvers.structure.structure_scope` (so the chunk's
+   scenarios share Step-1 designs and widened plateaus, as a pool chunk's
+   do) and upload its records in one batched ``POST /records/batch``
+   NDJSON request;
 4. heartbeat after every scenario; when the server answers ``gone`` the
    lease has expired -- the worker flushes the records it already
    computed, then abandons the shard (someone else owns it now);
@@ -36,6 +39,7 @@ from repro.api.plan import AUTO_CHUNK, SweepPlan
 from repro.core.exceptions import ReproError
 from repro.service.client import ServiceClient
 from repro.service.protocol import GridSpec
+from repro.solvers.structure import structure_scope
 from repro.store.result_store import make_record
 
 #: Seconds between lease polls when the server reports no open work.
@@ -167,29 +171,30 @@ def run_worker(
         abandoned = False
         for number, chunk in enumerate(plan, start=1):
             buffer: list[dict] = []
-            for scenario in chunk.scenarios:
-                try:
-                    outcome = engine.run(scenario)
-                except ReproError as error:
-                    # An infeasible operating point is a scenario-level
-                    # outcome, not a worker failure; record it and move on.
-                    stats.failed += 1
-                    say(f"{name}: {scenario.describe()} failed: {error}")
-                    continue
-                stats.computed += 1
-                stats.solved_keys.append(scenario.digest)
-                buffer.append(make_record(scenario, outcome.result))
-                if client.heartbeat(lease).get("status") == "gone":
-                    # Our lease expired mid-shard: the shard is someone
-                    # else's now.  Flush what this chunk already computed
-                    # (uploads are deduplicated), then walk away.
-                    stored, duplicates = upload(buffer)
-                    stats.stored += stored
-                    stats.duplicates += duplicates
-                    stats.abandoned += 1
-                    abandoned = True
-                    say(f"{name}: lease {lease} expired; abandoning shard {shard}")
-                    break
+            with structure_scope():
+                for scenario in chunk.scenarios:
+                    try:
+                        outcome = engine.run(scenario)
+                    except ReproError as error:
+                        # An infeasible operating point is a scenario-level
+                        # outcome, not a worker failure; record it and move on.
+                        stats.failed += 1
+                        say(f"{name}: {scenario.describe()} failed: {error}")
+                        continue
+                    stats.computed += 1
+                    stats.solved_keys.append(scenario.digest)
+                    buffer.append(make_record(scenario, outcome.result))
+                    if client.heartbeat(lease).get("status") == "gone":
+                        # Our lease expired mid-shard: the shard is someone
+                        # else's now.  Flush what this chunk already computed
+                        # (uploads are deduplicated), then walk away.
+                        stored, duplicates = upload(buffer)
+                        stats.stored += stored
+                        stats.duplicates += duplicates
+                        stats.abandoned += 1
+                        abandoned = True
+                        say(f"{name}: lease {lease} expired; abandoning shard {shard}")
+                        break
             if abandoned:
                 break
             stored, duplicates = upload(buffer)

@@ -11,13 +11,19 @@ that derivation, in two shapes:
   one Step-1 design and returns its :class:`~repro.optimize.result.
   SitePoint` rows.  The per-site channel budget is flat across runs of
   site counts (a *budget plateau*), so the architecture is widened -- and
-  its timing built -- once per plateau, not once per site count.
+  its timing built -- once per plateau, not once per site count.  The
+  widened architecture of each plateau comes from the design's
+  budget map in the active problem structure
+  (:mod:`repro.solvers.structure`), so within a structure scope -- one
+  engine call, pool chunk or worker chunk -- each (design, budget) is
+  widened once however many operating points reach it.
 * :func:`evaluate_point` evaluates one point.
 
-Nothing is memoised process-wide: a Step-2 sweep never revisits a point.
-The one caller whose points repeat -- simulated annealing, whose undone
-moves land on states it has seen -- keeps a :class:`PointMemo` per run,
-whose :meth:`PointMemo.move` is the single module-width move primitive.
+Nothing is memoised process-wide: the structure scope ends with its
+call, and a scenario never revisits a point.  The one caller whose
+points repeat -- simulated annealing, whose undone moves land on states
+it has seen -- keeps a :class:`PointMemo` per run, whose
+:meth:`PointMemo.move` is the single module-width move primitive.
 :func:`cache_info` counts computed points (``misses``), per-run memo hits
 (``hits``) and the batch sizes, for tests, the bench telemetry and
 diagnostics.
@@ -38,6 +44,7 @@ from repro.optimize.channels import max_channels_per_site
 from repro.optimize.config import OptimizationConfig
 from repro.optimize.result import SitePoint, Step1Result
 from repro.soc.module import Module
+from repro.solvers.structure import problem_structure
 from repro.tam.architecture import TestArchitecture
 from repro.tam.redistribution import widen_to_channel_budget
 
@@ -150,14 +157,18 @@ def evaluate_points(
     the ATE channel count and the broadcast mode; the Step-1 architecture
     is widened to that budget by bottleneck redistribution.  The distinct
     site counts are walked in descending order, so the budgets never
-    shrink, and the architecture is widened only when the budget changes:
-    every site count of one budget plateau shares one architecture object
-    and one :class:`~repro.multisite.cost_model.TestTiming`, and only its
-    :class:`~repro.multisite.throughput.MultiSiteScenario` and objective
-    value are per site count.
+    shrink, and the architecture is looked up only when the budget
+    changes: every site count of one budget plateau shares one
+    architecture object and one :class:`~repro.multisite.cost_model.
+    TestTiming`, and only its :class:`~repro.multisite.throughput.
+    MultiSiteScenario` and objective value are per site count.  The
+    plateau's architecture is read from the design's
+    :class:`~repro.solvers.structure.Plateaus` map when an earlier call
+    in the same structure scope already widened the design to that
+    budget; only a missing budget is widened.
 
-    The widening is *incremental*: each plateau widens the previous
-    plateau's architecture rather than the Step-1 design.  This is
+    The widening is *incremental*: each missing plateau widens the
+    previous plateau's architecture rather than the Step-1 design.  This is
     bit-identical to the from-scratch widening because the greedy
     one-wire-at-a-time bottleneck choice depends only on the current
     architecture, and the budgets grow monotonically as sites are given up
@@ -191,13 +202,17 @@ def evaluate_points(
     value = get_objective(objective).value
     ate, probe_station, config = step1.ate, step1.probe_station, step1.config
     contact_yield, manufacturing_yield = probe_station.contact_yield, config.manufacturing_yield
-    architecture, timing, budget = step1.architecture, None, None
+    design = step1.architecture
+    plateaus = problem_structure(design.soc, design.depth).plateaus(design)
+    architecture, timing, budget = design, None, None
     rows: dict[int, SitePoint] = {}
     for sites in sorted(set(site_counts), reverse=True):
         site_budget = max_channels_per_site(ate.channels, sites, config.broadcast)
         if site_budget != budget:
             budget = site_budget
-            widened = widen_to_channel_budget(architecture, budget)
+            widened = plateaus.get(budget)
+            if widened is None:
+                widened = plateaus.add(budget, widen_to_channel_budget(architecture, budget))
             if widened is not architecture or timing is None:
                 architecture = widened
                 timing = timing_for(architecture, ate, probe_station)

@@ -4,10 +4,10 @@
 :class:`~repro.analysis.records.AnalysisRecord` fields), but a store
 record's payload is the full encoded ``TwoStepResult`` graph -- ~27 KB of
 JSON whose decode cost dwarfs the aggregation it feeds.  This module
-defines a **columnar sidecar** holding exactly those columns, written at
-``put`` time when the producer still holds the live objects (so nothing is
-ever decoded to build it) and scanned at analysis time instead of the
-record payloads.
+defines a **columnar sidecar** holding exactly those columns, written by
+``put_records`` while the producer still holds the live objects (so
+nothing is ever decoded to build it) and scanned at analysis time instead
+of the record payloads.
 
 Each packed-store segment file carries one ``seg-<...>.cols`` sidecar,
 appended in the same ``put_records`` flush as the segment lines (before

@@ -69,7 +69,6 @@ from repro.store.result_store import (
     StoreInfo,
     decode_record,
     entry_from_record,
-    make_record,
     record_key,
 )
 
@@ -425,14 +424,6 @@ class PackedResultStore:
     # ------------------------------------------------------------------
     # Write path
     # ------------------------------------------------------------------
-    def put(self, scenario: "Scenario", result: "TwoStepResult") -> Path:
-        """Persist ``result`` under ``scenario``'s digest; returns the segment path."""
-        return self.put_record(make_record(scenario, result))
-
-    def put_record(self, record: dict) -> Path:
-        """Append one record dict to this instance's segment and index it."""
-        return self.put_records([record])
-
     def put_records(self, records: Iterable[dict]) -> Path:
         """Append many record dicts in one batch (one index transaction).
 

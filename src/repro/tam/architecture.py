@@ -120,13 +120,30 @@ class TestArchitecture:
         """Return a copy of this architecture with a different group set."""
         return TestArchitecture(soc=self.soc, groups=groups, depth=self.depth)
 
+    def with_resized_groups(self, groups: tuple[ChannelGroup, ...]) -> "TestArchitecture":
+        """Return a copy whose groups are this architecture's, resized.
+
+        The width-only constructor of Step 2's widening and of
+        simulated annealing's width moves: ``groups[p]`` must be
+        ``self.groups[p]`` or a :meth:`ChannelGroup.with_width` copy of
+        it.  Only widths change, so the module coverage that
+        :meth:`__post_init__` checks still holds and is not checked again;
+        the groups' cached fills are kept as they are.
+        """
+        resized = object.__new__(TestArchitecture)
+        object.__setattr__(resized, "soc", self.soc)
+        object.__setattr__(resized, "groups", groups)
+        object.__setattr__(resized, "depth", self.depth)
+        return resized
+
     def with_group_width(self, group_index: int, width: int) -> "TestArchitecture":
         """Return a copy in which one group has been resized to ``width``."""
-        new_groups = tuple(
-            group.with_width(width) if group.index == group_index else group
-            for group in self.groups
+        return self.with_resized_groups(
+            tuple(
+                group.with_width(width) if group.index == group_index else group
+                for group in self.groups
+            )
         )
-        return self.with_groups(new_groups)
 
     def describe(self) -> str:
         """Multi-line summary used by reports and the CLI."""

@@ -16,7 +16,7 @@ from functools import cached_property
 from repro.core.exceptions import ConfigurationError
 from repro.core.fingerprint import pickle_state
 from repro.soc.module import Module
-from repro.wrapper.combine import module_curve
+from repro.wrapper.combine import TestTimeCurve, module_curve
 
 
 @dataclass(frozen=True)
@@ -52,7 +52,13 @@ class ChannelGroup:
             object.__setattr__(self, "_fingerprint", fingerprint)
         return fingerprint
 
-    __getstate__ = pickle_state
+    def __getstate__(self) -> dict:
+        # The curves are the process's own module_curve entries: they are
+        # looked up again on demand after unpickling rather than shipped.
+        state = pickle_state(self)
+        if "curves" in state:
+            state = {key: value for key, value in state.items() if key != "curves"}
+        return state
 
     # ------------------------------------------------------------------
     # Derived quantities
@@ -63,10 +69,21 @@ class ChannelGroup:
         return 2 * self.width
 
     @cached_property
+    def curves(self) -> tuple[TestTimeCurve, ...]:
+        """Test-time curve of every assigned module, by module position.
+
+        Read once per group through the :func:`~repro.wrapper.combine.
+        module_curve` cache and handed on to every :meth:`with_width`
+        copy, so fills at other widths index these tables instead of
+        looking each module up again.
+        """
+        return tuple(module_curve(module) for module in self.modules)
+
+    @cached_property
     def fill(self) -> int:
         """Vector-memory depth consumed on this group's channels (cycles)."""
         width = self.width
-        return sum(module_curve(module).at(width) for module in self.modules)
+        return sum(curve.at(width) for curve in self.curves)
 
     @property
     def module_names(self) -> tuple[str, ...]:
@@ -77,12 +94,13 @@ class ChannelGroup:
         """Fill this group's module set would have at a different TAM width."""
         if width <= 0:
             raise ConfigurationError(f"width must be positive, got {width}")
-        return sum(module_curve(module).at(width) for module in self.modules)
+        return sum(curve.at(width) for curve in self.curves)
 
     def fill_with(self, module: Module, width: int | None = None) -> int:
         """Fill after additionally assigning ``module`` (optionally at a new width)."""
-        effective = self.width if width is None else width
-        return self.fill_at_width(effective) + module_curve(module).at(effective)
+        if width is None or width == self.width:
+            return self.fill + module_curve(module).at(self.width)
+        return self.fill_at_width(width) + module_curve(module).at(width)
 
     def free_depth(self, depth: int) -> int:
         """Unused vector-memory depth on this group's channels."""
@@ -108,9 +126,21 @@ class ChannelGroup:
         return ChannelGroup(index=self.index, width=self.width,
                             modules=self.modules + (module,))
 
-    def with_width(self, width: int) -> "ChannelGroup":
-        """Return a copy of this group at a different TAM width."""
-        return ChannelGroup(index=self.index, width=width, modules=self.modules)
+    def with_width(self, width: int, fill: int | None = None) -> "ChannelGroup":
+        """Return a copy of this group at a different TAM width.
+
+        The width-only constructor: the copy keeps this group's modules
+        and their curves, and ``fill``, when the caller already knows it
+        (Step 2's widening computes it while choosing the width), is
+        carried instead of being summed again from the curves.
+        """
+        resized = ChannelGroup(index=self.index, width=width, modules=self.modules)
+        curves = self.__dict__.get("curves")
+        if curves is not None:
+            resized.__dict__["curves"] = curves
+        if fill is not None:
+            resized.__dict__["fill"] = fill
+        return resized
 
     def describe(self, depth: int | None = None) -> str:
         """One-line summary used by reports."""

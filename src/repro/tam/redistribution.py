@@ -17,7 +17,6 @@ import heapq
 
 from repro.core.exceptions import ConfigurationError
 from repro.tam.architecture import TestArchitecture
-from repro.wrapper.combine import module_curve
 
 
 def widen_bottleneck(architecture: TestArchitecture, extra_wires: int) -> TestArchitecture:
@@ -34,8 +33,11 @@ def widen_bottleneck(architecture: TestArchitecture, extra_wires: int) -> TestAr
     its new fill (read from the modules' test-time curves) still beats the
     heap top.  Once every module of the group is past its
     ``max_useful_width`` its fill is flat, so it stays the bottleneck and
-    takes all remaining wires in one jump.  Each widened group is rebuilt
-    once, at the end.  Equality with the wire-by-wire greedy is pinned by
+    takes all remaining wires in one jump.  The curves are the groups'
+    own (:attr:`~repro.tam.channel_group.ChannelGroup.curves`), read by
+    module position.  Each widened group is rebuilt once, at the end,
+    through the width-only constructors, carrying the fill the heap
+    already holds.  Equality with the wire-by-wire greedy is pinned by
     the kernel equivalence test suite.
 
     Parameters
@@ -57,7 +59,7 @@ def widen_bottleneck(architecture: TestArchitecture, extra_wires: int) -> TestAr
     while remaining:
         key = heapq.heappop(heap)
         position = key[1]
-        curves = [module_curve(module) for module in groups[position].modules]
+        curves = groups[position].curves
         flat_from = max((len(curve.times) for curve in curves), default=0)
         width = widths[position]
         while remaining:
@@ -72,10 +74,16 @@ def widen_bottleneck(architecture: TestArchitecture, extra_wires: int) -> TestAr
                 break
         widths[position] = width
         heapq.heappush(heap, key)
-    return architecture.with_groups(
+    # Every heap key holds its group's fill at the group's final width
+    # (past ``flat_from`` the fill no longer changes), so the resized
+    # groups carry it instead of summing their curves again.
+    fills = [0] * len(groups)
+    for fill, position in heap:
+        fills[position] = -fill
+    return architecture.with_resized_groups(
         tuple(
-            group if group.width == width else group.with_width(width)
-            for group, width in zip(groups, widths)
+            group if group.width == width else group.with_width(width, fill)
+            for group, width, fill in zip(groups, widths, fills)
         )
     )
 

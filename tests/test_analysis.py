@@ -34,6 +34,7 @@ from repro.api.testcell import reference_test_cell
 from repro.ate.pricing import AtePricing
 from repro.core.exceptions import ConfigurationError
 from repro.store.packed import PackedResultStore
+from repro.store.result_store import make_record
 
 
 @pytest.fixture(scope="module")
@@ -87,7 +88,7 @@ class TestRecords:
     def test_store_roundtrip_matches(self, results, records, tmp_path):
         store = PackedResultStore(tmp_path)
         for outcome in results:
-            store.put(outcome.scenario, outcome.result)
+            store.put_records([make_record(outcome.scenario, outcome.result)])
         assert records_from_store(store) == records
         assert records_from_store(tmp_path) == records
         assert records_from_store(store, columns=False) == records
@@ -103,7 +104,7 @@ class TestRecords:
     def test_load_records_merges_and_dedups(self, results, records, tmp_path):
         store = PackedResultStore(tmp_path / "store")
         for outcome in results:
-            store.put(outcome.scenario, outcome.result)
+            store.put_records([make_record(outcome.scenario, outcome.result)])
         path = tmp_path / "sweep.jsonl"
         path.write_text(
             "".join(json.dumps(r.to_record()) + "\n" for r in results), encoding="utf-8"

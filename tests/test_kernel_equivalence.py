@@ -41,7 +41,6 @@ from dataclasses import replace
 import pytest
 
 import repro.tam.channel_group as channel_group_module
-import repro.tam.redistribution as redistribution_module
 
 from repro.api.scenario import Scenario
 from repro.api.testcell import reference_test_cell
@@ -642,7 +641,6 @@ class TestHeapWidening:
         def fake_curve(module):
             return curves[module.name]
 
-        monkeypatch.setattr(redistribution_module, "module_curve", fake_curve)
         monkeypatch.setattr(channel_group_module, "module_curve", fake_curve)
         for trial in range(150):
             modules = [

@@ -269,16 +269,20 @@ class TestEngineAndStore:
     def test_store_roundtrip_per_objective(self, cell, tmp_path, outcomes):
         store = PackedResultStore(tmp_path)
         scenario = Scenario(soc="d695", test_cell=cell, objective="test_time")
-        store.put(scenario, outcomes["test_time"].result)
+        store.put_records([make_record(scenario, outcomes["test_time"].result)])
         assert store.get(scenario) == outcomes["test_time"].result
         # The default-objective scenario addresses a different record.
         assert store.get(Scenario(soc="d695", test_cell=cell)) is None
 
     def test_store_entry_records_objective(self, cell, tmp_path, outcomes):
         store = PackedResultStore(tmp_path)
-        store.put(
-            Scenario(soc="d695", test_cell=cell, objective="test_time"),
-            outcomes["test_time"].result,
+        store.put_records(
+            [
+                make_record(
+                    Scenario(soc="d695", test_cell=cell, objective="test_time"),
+                    outcomes["test_time"].result,
+                )
+            ]
         )
         (entry,) = store.scan()
         assert entry.objective == "test_time"
@@ -291,7 +295,7 @@ class TestEngineAndStore:
         # Strip the objective key, simulating a record written before the
         # objective axis existed.
         del record["scenario"]["objective"]
-        store.put_record(record)
+        store.put_records([record])
         (entry,) = store.scan()
         assert entry.objective == DEFAULT_OBJECTIVE
 

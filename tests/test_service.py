@@ -29,6 +29,8 @@ from pathlib import Path
 
 import pytest
 
+import repro.service.worker as worker_module
+
 from repro.api import Engine
 from repro.bench.runner import sweep_digest
 from repro.core.exceptions import ConfigurationError, ReproError, ServiceError
@@ -43,6 +45,7 @@ from repro.service import (
     scenario_to_wire,
     start_server,
 )
+from repro.solvers.structure import structure_scope
 from repro.store import is_packed, make_record
 
 #: The small synthetic operating point every service test sweeps: two tiny
@@ -414,10 +417,18 @@ class TestServiceHTTP:
             )
         assert excinfo.value.status == 400
 
-    def test_chunked_worker_digest_parity(self, http_service):
+    def test_chunked_worker_digest_parity(self, http_service, monkeypatch):
         """``--chunk`` changes upload cadence only, never the digest."""
         submitted = http_service.submit_campaign(SMALL_SPEC)
         lines: list[str] = []
+        scopes = []
+
+        def counting_scope():
+            scopes.append(None)
+            return structure_scope()
+
+        # Each plan chunk's scenarios share one problem-structure scope.
+        monkeypatch.setattr(worker_module, "structure_scope", counting_scope)
         stats = run_worker(
             http_service.base_url,
             worker="w1",
@@ -430,6 +441,7 @@ class TestServiceHTTP:
         assert stats.stored == 4
         assert stats.duplicates == 0
         assert any("chunk 1/" in line and "uploaded" in line for line in lines)
+        assert len(scopes) == sum("uploaded" in line for line in lines) > 1
         answer = http_service.digest(submitted["campaign"])
         assert answer["complete"] is True
         local = sweep_digest(Engine().run_batch(list(SMALL_SPEC.build_grid())))

@@ -69,7 +69,7 @@ class TestResultStoreBasics:
     def test_round_trip(self, tmp_path, scenario):
         store = PackedResultStore(tmp_path)
         computed = Engine().run(scenario).result
-        path = store.put(scenario, computed)
+        path = store.put_records([make_record(scenario, computed)])
         assert path == _segment_path(store)
         assert scenario in store
         assert store.get(scenario) == computed
@@ -84,7 +84,7 @@ class TestResultStoreBasics:
         from repro import __version__
 
         store = PackedResultStore(tmp_path)
-        path = store.put(scenario, Engine().run(scenario).result)
+        path = store.put_records([make_record(scenario, Engine().run(scenario).result)])
         (line,) = path.read_text().splitlines()
         record = json.loads(line)
         assert record["format"] == STORE_FORMAT
@@ -110,7 +110,7 @@ class TestResultStoreBasics:
         victim = tmp_path / "victim.json"
         victim.write_text("{}")
         store = PackedResultStore(tmp_path / "store")
-        store.put(scenario, Engine().run(scenario).result)
+        store.put_records([make_record(scenario, Engine().run(scenario).result)])
         assert store.evict(["../victim", "a/b", ".."]) == 0
         assert victim.exists()
         assert len(store) == 1
@@ -118,9 +118,9 @@ class TestResultStoreBasics:
     def test_scan_and_evict(self, tmp_path, scenario):
         store = PackedResultStore(tmp_path)
         result = Engine().run(scenario).result
-        store.put(scenario, result)
-        store.put(scenario.with_solver("restart"),
-                  Engine().run(scenario.with_solver("restart")).result)
+        restart = scenario.with_solver("restart")
+        store.put_records([make_record(scenario, result)])
+        store.put_records([make_record(restart, Engine().run(restart).result)])
         entries = store.scan()
         assert len(entries) == len(store) == 2
         assert {entry.solver for entry in entries} == {"goel05", "restart"}
@@ -139,7 +139,7 @@ class TestCorruptionTolerance:
     def _seed(self, tmp_path, scenario):
         store = PackedResultStore(tmp_path)
         record = make_record(scenario, Engine().run(scenario).result)
-        store.put_record(record)
+        store.put_records([record])
         return store, json.loads(json.dumps(record))
 
     def _assert_corrupt_miss(self, store, scenario):
@@ -355,7 +355,7 @@ class TestEngineStoreTier:
         real_connect = store._connect
         monkeypatch.setattr(store, "_connect", lambda: FullIndex(real_connect()))
         with pytest.raises(StoreError, match="database or disk is full"):
-            store.put(grid[0], Engine().run(grid[0]).result)
+            store.put_records([make_record(grid[0], Engine().run(grid[0]).result)])
 
         engine = Engine(store=store)
         if path == "run":
@@ -366,7 +366,8 @@ class TestEngineStoreTier:
         assert engine.cache_info().misses == len(grid)
         assert len(store) == 0
         monkeypatch.undo()
-        store.put(grid[0], results[0].result)  # no transaction was left open
+        # No transaction was left open.
+        store.put_records([make_record(grid[0], results[0].result)])
         assert len(store) == 1
 
     def test_cli_reports_bad_store_path_as_error(self, capsys):
@@ -398,7 +399,7 @@ class TestConcurrentWrites:
         def hammer() -> None:
             try:
                 for _ in range(20):
-                    store.put(scenario, result)
+                    store.put_records([make_record(scenario, result)])
                     assert store.get(scenario) == result
             except Exception as error:  # pragma: no cover - failure path
                 errors.append(error)

@@ -44,7 +44,7 @@ _WRITER_SCRIPT = textwrap.dedent(
                          "objective": "throughput"},
             "result": {"writer": salt, "index": index, "pad": "x" * 256},
         }
-        store.put_record(record)
+        store.put_records([record])
     print("done")
     """
 )
@@ -88,9 +88,9 @@ def _run_all(processes: list[subprocess.Popen]) -> None:
 class TestConcurrentWriters:
     def test_disjoint_keys_no_lost_updates(self, tmp_path):
         root = tmp_path / "store"
-        PackedResultStore(root).put_record(
+        PackedResultStore(root).put_records([
             {"format": 1, "key": "f" * 64, "result": {"seed": True}}
-        )  # initialise the layout before the writers race
+        ])  # initialise the layout before the writers race
         writers = [
             _spawn(_WRITER_SCRIPT, str(root),
                    str(index * RECORDS_PER_WRITER), str(RECORDS_PER_WRITER),
@@ -107,9 +107,9 @@ class TestConcurrentWriters:
 
     def test_same_keys_one_complete_winner(self, tmp_path):
         root = tmp_path / "store"
-        PackedResultStore(root).put_record(
+        PackedResultStore(root).put_records([
             {"format": 1, "key": "f" * 64, "result": {"seed": True}}
-        )
+        ])
         writers = [
             _spawn(_WRITER_SCRIPT, str(root), "0",
                    str(RECORDS_PER_WRITER), f"writer{index}")
@@ -134,9 +134,9 @@ class TestConcurrentWriters:
 
     def test_writer_reader_race_never_errors(self, tmp_path):
         root = tmp_path / "store"
-        PackedResultStore(root).put_record(
+        PackedResultStore(root).put_records([
             {"format": 1, "key": "f" * 64, "result": {"seed": True}}
-        )
+        ])
         writer = _spawn(_WRITER_SCRIPT, str(root), "0",
                         str(RECORDS_PER_WRITER), "writer0")
         reader = _spawn(_READER_SCRIPT, str(root),

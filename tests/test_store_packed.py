@@ -64,7 +64,7 @@ class TestPackedRoundTrip:
     def test_put_get_round_trip(self, tmp_path, solved):
         store = PackedResultStore(tmp_path / "packed")
         for scenario, result in solved:
-            store.put(scenario, result)
+            store.put_records([make_record(scenario, result)])
         for scenario, result in solved:
             assert scenario in store
             assert store.get(scenario) == result
@@ -82,8 +82,8 @@ class TestPackedRoundTrip:
     def test_put_same_key_supersedes(self, tmp_path, solved):
         store = PackedResultStore(tmp_path / "packed")
         scenario, result = solved[0]
-        store.put(scenario, result)
-        store.put(scenario, result)
+        store.put_records([make_record(scenario, result)])
+        store.put_records([make_record(scenario, result)])
         assert len(store) == 1
         assert store.get(scenario) == result
         # The superseded line is dead bytes, visible in segment stats.
@@ -94,7 +94,7 @@ class TestPackedRoundTrip:
     def test_records_and_scan_sorted_by_key(self, tmp_path, solved):
         store = PackedResultStore(tmp_path / "packed")
         for scenario, result in solved:
-            store.put(scenario, result)
+            store.put_records([make_record(scenario, result)])
         keys = [entry.key for entry in store.scan()]
         assert keys == sorted(keys)
         assert [entry.key for entry, _ in store.records()] == keys
@@ -111,12 +111,12 @@ class TestPackedRoundTrip:
     def test_rejects_path_escaping_record_key(self, tmp_path):
         store = PackedResultStore(tmp_path / "packed")
         with pytest.raises(StoreError, match="plain token"):
-            store.put_record({"format": 1, "key": "../evil", "result": {}})
+            store.put_records([{"format": 1, "key": "../evil", "result": {}}])
 
     def test_evict_then_compact_reclaims(self, tmp_path, solved):
         store = PackedResultStore(tmp_path / "packed")
         for scenario, result in solved:
-            store.put(scenario, result)
+            store.put_records([make_record(scenario, result)])
         (evicted_scenario, _), (kept_scenario, kept_result) = solved
         assert store.evict([evicted_scenario.digest]) == 1
         assert len(store) == 1
@@ -129,7 +129,7 @@ class TestPackedRoundTrip:
     def test_orphans_detected_and_reindex_recovers(self, tmp_path, solved):
         store = PackedResultStore(tmp_path / "packed")
         scenario, result = solved[0]
-        path = store.put(scenario, result)
+        path = store.put_records([make_record(scenario, result)])
         store.close()
         # Truncate the segment under the index: the row becomes an orphan.
         path.write_bytes(path.read_bytes()[:10])
@@ -252,7 +252,7 @@ class TestOpenStore:
         assert is_packed(empty)
         scenario, result = solved[0]
         packed_root = tmp_path / "packed"
-        PackedResultStore(packed_root).put(scenario, result)
+        PackedResultStore(packed_root).put_records([make_record(scenario, result)])
         assert open_store(packed_root).get(scenario) == result
         legacy_root = tmp_path / "legacy"
         write_legacy(legacy_root, solved_records)
@@ -274,7 +274,7 @@ class TestOpenStore:
         scenario, result = solved[0]
         absent = "f" * 64
         direct = tmp_path / "packed"
-        PackedResultStore(direct).put(scenario, result)
+        PackedResultStore(direct).put_records([make_record(scenario, result)])
         migrated = tmp_path / "legacy"
         write_legacy(migrated, solved_records[:1])
         migrate_store(migrated)
@@ -331,7 +331,7 @@ class TestPackedScale:
         # One real record among a flood of synthetic ones.  The synthetic
         # records share one small payload: this test exercises the *index*,
         # whose cost must not depend on what the segment lines contain.
-        store.put(scenario, result)
+        store.put_records([make_record(scenario, result)])
         batch: list[dict] = []
         for index in range(self.RECORDS):
             batch.append(
@@ -377,7 +377,7 @@ class TestStoreCli:
         root = tmp_path / "store"
         store = PackedResultStore(root)
         for scenario, result in solved:
-            store.put(scenario, result)
+            store.put_records([make_record(scenario, result)])
         assert main(["store", "info", "--store", str(root)]) == 0
         out = capsys.readouterr().out
         assert "backend: packed" in out
@@ -389,7 +389,7 @@ class TestStoreCli:
         root = tmp_path / "store"
         store = PackedResultStore(root)
         scenario, result = solved[0]
-        path = store.put(scenario, result)
+        path = store.put_records([make_record(scenario, result)])
         store.close()
         path.write_bytes(b"")
         assert main(["store", "info", "--store", str(root)]) == 0
